@@ -21,8 +21,7 @@ use std::time::Duration as BenchDuration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use eden_core::{EdenError, Value};
 use eden_kernel::{
-    EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, KernelConfig, ReplyHandle,
-    RouteCache,
+    EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, ReplyHandle, RouteCache,
 };
 use eden_transput::transform::Identity;
 use eden_transput::{Discipline, PipelineSpec};
@@ -47,10 +46,7 @@ impl EjectBehavior for Echo {
 const CALLS_PER_THREAD: usize = 200;
 
 fn kernel_with_shards(shards: usize) -> Kernel {
-    Kernel::with_config(KernelConfig {
-        registry_shards: shards,
-        ..KernelConfig::default()
-    })
+    Kernel::builder().registry_shards(shards).build()
 }
 
 /// M threads × CALLS_PER_THREAD invocations, each thread on its own Eject.
@@ -140,19 +136,15 @@ fn concurrent_pipelines(c: &mut Criterion) {
     group.measurement_time(BenchDuration::from_secs(4));
     group.throughput(Throughput::Elements(PIPELINES as u64 * RECORDS as u64));
     group.bench_function("pre-pr-shape", |b| {
-        let kernel = Kernel::with_config(KernelConfig {
-            registry_shards: 1,
-            invocation_latency: Some(RENDEZVOUS),
-            ..KernelConfig::default()
-        });
+        let kernel = Kernel::builder()
+            .registry_shards(1)
+            .invocation_latency(RENDEZVOUS)
+            .build();
         b.iter(|| run_pipelines(&kernel, 0));
         kernel.shutdown();
     });
     group.bench_function("fast-plane", |b| {
-        let kernel = Kernel::with_config(KernelConfig {
-            invocation_latency: Some(RENDEZVOUS),
-            ..KernelConfig::default()
-        });
+        let kernel = Kernel::builder().invocation_latency(RENDEZVOUS).build();
         b.iter(|| run_pipelines(&kernel, 64));
         kernel.shutdown();
     });

@@ -5,12 +5,11 @@
 //! questions:
 //!
 //! * `resident`: how much memory and how many OS threads a parked
-//!   read-only stream costs. The scheduler arm holds the full resident
-//!   population (1M streams, 100k in `--smoke`); the threads arm holds a
-//!   deliberately small sample (a million coordinator threads would not
-//!   fit), and the per-Eject RSS slopes are compared directly.
-//! * `goodput`: depth-4 identity-pipeline throughput, threads mode vs
-//!   scheduler mode, plus the goodput-vs-workers curve for the pool.
+//!   read-only stream costs, over the full resident population (1M
+//!   streams, 100k in `--smoke`). The population must add no OS threads
+//!   beyond the worker pool's own size.
+//! * `goodput`: depth-4 identity-pipeline throughput, plus the
+//!   goodput-vs-workers curve for the pool.
 
 use std::time::{Duration, Instant};
 
@@ -29,8 +28,6 @@ pub struct DensityConfig {
     pub resident: usize,
     /// Streams probed with a `Read` after the population parks.
     pub sample_reads: usize,
-    /// Resident population for the thread-per-Eject baseline arm.
-    pub threads_baseline: usize,
     /// Records pushed through each goodput pipeline.
     pub goodput_records: i64,
     /// Identity stages in the goodput pipelines.
@@ -53,7 +50,6 @@ impl DensityConfig {
         DensityConfig {
             resident: 100_000,
             sample_reads: 256,
-            threads_baseline: 1_000,
             goodput_records: 600,
             depth: 4,
             workers_curve: vec![1, 2, 4, 8],
@@ -68,7 +64,6 @@ impl DensityConfig {
         DensityConfig {
             resident: 1_000_000,
             sample_reads: 1024,
-            threads_baseline: 4_000,
             goodput_records: 20_000,
             depth: 4,
             workers_curve: vec![1, 2, 4, 8],
@@ -198,18 +193,14 @@ fn resident_arm(kernel: &Kernel, count: usize, sample_reads: usize) -> ResidentA
                 .expect("spawn resident stream"),
         );
     }
-    // Wait for the population to drain through activation and park. In
-    // threads mode there is nothing to wait for: parked_ejects stays zero
-    // and the spawn loop itself is the rendezvous.
-    if kernel.metrics_snapshot().sched.workers > 0 {
-        let parked_deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            let sched = kernel.metrics_snapshot().sched;
-            if sched.parked_ejects >= count as u64 || Instant::now() > parked_deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
+    // Wait for the population to drain through activation and park.
+    let parked_deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let sched = kernel.metrics_snapshot().sched;
+        if sched.parked_ejects >= count as u64 || Instant::now() > parked_deadline {
+            break;
         }
+        std::thread::sleep(Duration::from_millis(10));
     }
     let spawn_seconds = t0.elapsed().as_secs_f64();
     let (rss_after_kb, threads_after) = proc_status();
@@ -300,23 +291,19 @@ pub struct DensityReport {
 
 /// Run every arm and render `BENCH_density.json`.
 pub fn density_report(cfg: &DensityConfig, smoke: bool) -> DensityReport {
-    // Resident population, scheduler mode (the tentpole claim).
-    let sched_kernel = Kernel::builder().build();
-    let sched_arm = resident_arm(&sched_kernel, cfg.resident, cfg.sample_reads);
-    sched_kernel.shutdown();
+    // Resident population on the default pool (the density claim). The
+    // pool's workers start with the kernel, so the population itself
+    // may add at most spare workers — never a thread per Eject.
+    let pool = SchedulerConfig::default().workers;
+    let kernel = Kernel::new();
+    let arm = resident_arm(&kernel, cfg.resident, cfg.sample_reads);
+    kernel.shutdown();
+    let no_threads_added = arm.threads_after.saturating_sub(arm.threads_before) <= pool as u64;
 
-    // Thread-per-Eject baseline at a survivable population.
-    let threads_kernel = Kernel::builder().threads_mode().build();
-    let threads_arm = resident_arm(&threads_kernel, cfg.threads_baseline, cfg.sample_reads);
-    threads_kernel.shutdown();
-
-    // Goodput: threads mode vs default scheduler, then the workers curve.
-    let threads_kernel = Kernel::builder().threads_mode().build();
-    let threads_rps = goodput(&threads_kernel, cfg.goodput_records, cfg.depth);
-    threads_kernel.shutdown();
-    let sched_kernel = Kernel::builder().build();
-    let sched_rps = goodput(&sched_kernel, cfg.goodput_records, cfg.depth);
-    sched_kernel.shutdown();
+    // Goodput on the default pool, then the workers curve.
+    let kernel = Kernel::new();
+    let rps = goodput(&kernel, cfg.goodput_records, cfg.depth);
+    kernel.shutdown();
 
     // Workers curves, single- and multi-pipeline, best of N rounds.
     // Round-robin across pool sizes inside each round so a slow spell on
@@ -434,23 +421,19 @@ pub fn density_report(cfg: &DensityConfig, smoke: bool) -> DensityReport {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": 1,\n",
+            "  \"schema\": 2,\n",
             "  \"mode\": \"{}\",\n",
+            "  \"host_cpus\": {},\n",
             "  \"resident\": {{\n",
             "    \"scheduler\": {},\n",
-            "    \"threads_baseline\": {},\n",
-            "    \"rss_bytes_per_eject_scheduler\": {:.1},\n",
-            "    \"rss_bytes_per_eject_threads\": {:.1},\n",
-            "    \"threads_per_eject_scheduler\": {:.4},\n",
-            "    \"threads_per_eject_threads\": {:.4},\n",
-            "    \"sublinear_vs_threads\": {}\n",
+            "    \"pool_workers\": {},\n",
+            "    \"rss_bytes_per_eject\": {:.1},\n",
+            "    \"no_threads_added\": {}\n",
             "  }},\n",
             "  \"goodput\": {{\n",
             "    \"depth\": {},\n",
             "    \"records\": {},\n",
-            "    \"threads_records_per_second\": {:.1},\n",
-            "    \"scheduler_records_per_second\": {:.1},\n",
-            "    \"scheduler_over_threads\": {:.3},\n",
+            "    \"records_per_second\": {:.1},\n",
             "    \"curve_samples\": {},\n",
             "    \"workers_curve\": [\n{}\n    ],\n",
             "    \"multi_pipeline\": {{\n",
@@ -467,19 +450,14 @@ pub fn density_report(cfg: &DensityConfig, smoke: bool) -> DensityReport {
             "}}\n"
         ),
         if smoke { "smoke" } else { "full" },
-        sched_arm.json(),
-        threads_arm.json(),
-        sched_arm.bytes_per_eject(),
-        threads_arm.bytes_per_eject(),
-        sched_arm.threads_per_eject(),
-        threads_arm.threads_per_eject(),
-        sched_arm.bytes_per_eject() < threads_arm.bytes_per_eject()
-            && sched_arm.threads_per_eject() < threads_arm.threads_per_eject(),
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+        arm.json(),
+        pool,
+        arm.bytes_per_eject(),
+        no_threads_added,
         cfg.depth,
         cfg.goodput_records,
-        threads_rps,
-        sched_rps,
-        sched_rps / threads_rps.max(f64::EPSILON),
+        rps,
         samples,
         curve_rows.join(",\n"),
         cfg.multi_pipelines,

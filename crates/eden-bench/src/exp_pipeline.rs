@@ -169,10 +169,7 @@ pub fn e2() -> Vec<Table> {
         "E2c: wall clock with 200us injected invocation latency (depth 4, 400 records)",
         &["discipline", "invocations", "wall ms", "krec/s"],
     );
-    let slow = Kernel::with_config(eden_kernel::KernelConfig {
-        invocation_latency: Some(std::time::Duration::from_micros(200)),
-        ..Default::default()
-    });
+    let slow = Kernel::builder().invocation_latency(std::time::Duration::from_micros(200)).build();
     for (label, discipline, window) in [
         ("read-only (lazy)", Discipline::ReadOnly { read_ahead: 0 }, 1usize),
         ("read-only ra=32", Discipline::ReadOnly { read_ahead: 32 }, 1),

@@ -15,7 +15,7 @@
 use std::time::{Duration, Instant};
 
 use eden_core::Value;
-use eden_kernel::{Kernel, KernelConfig};
+use eden_kernel::{Kernel, KernelBuilder};
 use eden_transput::transform::Identity;
 use eden_transput::{ChannelPolicy, Discipline, PipelineSpec};
 
@@ -118,8 +118,8 @@ fn contention_run(kernel: &Kernel, batch_max: usize) -> Duration {
     t0.elapsed()
 }
 
-fn contention_arm(config: KernelConfig, batch_max: usize) -> f64 {
-    let kernel = Kernel::with_config(config);
+fn contention_arm(builder: KernelBuilder, batch_max: usize) -> f64 {
+    let kernel = builder.build();
     contention_run(&kernel, batch_max); // warm-up
     let mut samples: Vec<f64> = (0..CONTENTION_SAMPLES)
         .map(|_| contention_run(&kernel, batch_max).as_secs_f64())
@@ -179,20 +179,12 @@ pub fn pipeline_report() -> String {
     ];
 
     let pre = contention_arm(
-        KernelConfig {
-            registry_shards: 1,
-            invocation_latency: Some(RENDEZVOUS),
-            ..KernelConfig::default()
-        },
+        Kernel::builder()
+            .registry_shards(1)
+            .invocation_latency(RENDEZVOUS),
         0,
     );
-    let fast = contention_arm(
-        KernelConfig {
-            invocation_latency: Some(RENDEZVOUS),
-            ..KernelConfig::default()
-        },
-        BATCH_MAX,
-    );
+    let fast = contention_arm(Kernel::builder().invocation_latency(RENDEZVOUS), BATCH_MAX);
     let total = (CONTENTION_PIPELINES as f64) * (CONTENTION_RECORDS as f64);
     let krate = |secs: f64| total / secs / 1000.0;
 

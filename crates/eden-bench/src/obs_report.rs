@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use eden_core::Value;
-use eden_kernel::{Kernel, KernelConfig, ObsConfig};
+use eden_kernel::{Kernel, ObsConfig};
 use eden_transput::Discipline;
 
 use crate::runner::run_identity;
@@ -90,10 +90,7 @@ impl ArmStats {
 /// One timed pipeline run under `obs`; returns the wall seconds and folds
 /// the best wall into `arm` unless this is the warm-up pass.
 fn run_once(cfg: &ObsConfigDims, obs: ObsConfig, arm: &mut ArmStats, warm_up: bool) -> f64 {
-    let kernel = Kernel::with_config(KernelConfig {
-        observability: obs,
-        ..Default::default()
-    });
+    let kernel = Kernel::builder().observability(obs).build();
     let input: Vec<Value> = (0..cfg.records as i64).map(Value::Int).collect();
     let t0 = Instant::now();
     let run = run_identity(

@@ -9,7 +9,7 @@ use eden_fs::{
     add_entry, lookup, new_stream_arg, register_fs_types, use_stream_arg, DirConcatenatorEject,
     DirectoryEject, FileEject, MemFs, UnixFsEject,
 };
-use eden_kernel::{EjectState, Kernel, KernelConfig, StableStore};
+use eden_kernel::{EjectState, Kernel, StableStore};
 use eden_transput::collector::Collector;
 use eden_transput::protocol::{Batch, TransferRequest};
 use eden_transput::sink::SinkEject;
@@ -165,7 +165,7 @@ fn file_survives_whole_system_restart() {
     let store = StableStore::new();
     let file;
     {
-        let kernel = Kernel::with_stable_store(KernelConfig::default(), store.clone());
+        let kernel = Kernel::builder().stable_store(store.clone()).build();
         register_fs_types(&kernel);
         file = kernel
             .spawn(Box::new(FileEject::from_lines(["durable"])))
@@ -173,7 +173,7 @@ fn file_survives_whole_system_restart() {
         kernel.invoke(file, ops::CHECKPOINT, Value::Unit).wait().unwrap();
         kernel.shutdown();
     }
-    let kernel2 = Kernel::with_stable_store(KernelConfig::default(), store);
+    let kernel2 = Kernel::builder().stable_store(store).build();
     register_fs_types(&kernel2);
     let reader = kernel2
         .invoke(file, ops::OPEN, Value::Unit).wait()
@@ -236,7 +236,7 @@ fn directory_survives_restart() {
     let dir;
     let file;
     {
-        let kernel = Kernel::with_stable_store(KernelConfig::default(), store.clone());
+        let kernel = Kernel::builder().stable_store(store.clone()).build();
         register_fs_types(&kernel);
         dir = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
         file = eden_core::Uid::fresh();
@@ -244,7 +244,7 @@ fn directory_survives_restart() {
         kernel.invoke(dir, ops::CHECKPOINT, Value::Unit).wait().unwrap();
         kernel.shutdown();
     }
-    let kernel2 = Kernel::with_stable_store(KernelConfig::default(), store);
+    let kernel2 = Kernel::builder().stable_store(store).build();
     register_fs_types(&kernel2);
     assert_eq!(lookup(&kernel2, dir, "kept").unwrap(), file);
     kernel2.shutdown();

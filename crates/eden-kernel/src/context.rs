@@ -4,7 +4,8 @@
 //! "Each Eject is provided with multiple processes, of which some may be
 //! waiting for incoming invocations, some may be waiting for replies to
 //! invocations, and some may be running" (§1). In this reproduction the
-//! coordinator process is supplied by the kernel (one thread per Eject) and
+//! coordinator process is supplied by the kernel (a state machine the
+//! worker pool resumes whenever its mailbox has mail) and
 //! behaviours may spawn additional worker processes through
 //! [`EjectContext::spawn_process`]. Workers communicate with the coordinator
 //! by posting internal events, which are metered separately from invocations
@@ -83,13 +84,6 @@ impl EjectContext {
             Some(kernel) => kernel.invoke_with_from(self.node, target, op.into(), arg, opts),
             None => PendingReply::ready(Err(EdenError::KernelShutdown)),
         }
-    }
-
-    /// Deprecated synchronous shim; exactly `invoke(..).wait()`.
-    #[cfg(feature = "legacy-shims")]
-    #[deprecated(since = "0.3.0", note = "use `invoke(..).wait()`")]
-    pub fn invoke_sync(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
-        self.invoke(target, op, arg).wait()
     }
 
     /// As [`invoke`](Self::invoke), but through a caller-owned
@@ -263,13 +257,6 @@ impl ProcessContext {
         }
     }
 
-    /// Deprecated synchronous shim; exactly `invoke(..).wait()`.
-    #[cfg(feature = "legacy-shims")]
-    #[deprecated(since = "0.3.0", note = "use `invoke(..).wait()`")]
-    pub fn invoke_sync(&self, target: Uid, op: impl Into<OpName>, arg: Value) -> Result<Value> {
-        self.invoke(target, op, arg).wait()
-    }
-
     /// As [`invoke`](Self::invoke), but through a caller-owned
     /// [`RouteCache`]: repeat invocations of the same target skip the
     /// kernel registry. This is the hot path for stream connections, which
@@ -298,19 +285,6 @@ impl ProcessContext {
         kernel.store_checkpoint(self.eject, self.type_name, wire::encode(representation).into())?;
         self.metrics.record_checkpoint();
         Ok(())
-    }
-
-    /// Deprecated synchronous shim; exactly `invoke(..).wait_timeout(d)`.
-    #[cfg(feature = "legacy-shims")]
-    #[deprecated(since = "0.3.0", note = "use `invoke(..).wait_timeout(deadline)`")]
-    pub fn invoke_sync_timeout(
-        &self,
-        target: Uid,
-        op: impl Into<OpName>,
-        arg: Value,
-        deadline: Duration,
-    ) -> Result<Value> {
-        self.invoke(target, op, arg).wait_timeout(deadline)
     }
 
     /// Post an internal event to the owning Eject's coordinator.

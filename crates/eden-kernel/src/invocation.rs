@@ -141,29 +141,24 @@ impl ReplyHandle {
     /// mailbox: splits queue wait from service time, and returns a guard
     /// installing the invocation's span as the thread's ambient span (so
     /// invocations sent *while handling this one* become its children).
-    pub(crate) fn begin_service(&mut self) -> Option<eden_core::span::AmbientGuard> {
-        self.begin_service_at(None)
-    }
-
-    /// As [`begin_service`](Self::begin_service), with the scheduler's
-    /// resume instants: `(rq_enq, pickup)` are when the owning task was
-    /// pushed onto the run queue and when a worker picked it up. The slice
-    /// of queue time between those two — bounded below by the envelope's
-    /// own enqueue time, since an envelope delivered to an already-queued
-    /// task waited for less than the whole run-queue stint — is attributed
-    /// to `sched_wait` rather than mailbox queueing, keeping
+    ///
+    /// `rq_enq` and `pickup` are when the owning task was pushed onto the
+    /// run queue and when a worker picked it up. The slice of queue time
+    /// between those two — bounded below by the envelope's own enqueue
+    /// time, since an envelope delivered to an already-queued task waited
+    /// for less than the whole run-queue stint — is attributed to
+    /// `sched_wait` rather than mailbox queueing, keeping
     /// queue + sched + service an exact decomposition of the span.
-    pub(crate) fn begin_service_at(
+    pub(crate) fn begin_service(
         &mut self,
-        sched: Option<(std::time::Instant, std::time::Instant)>,
+        rq_enq: std::time::Instant,
+        pickup: std::time::Instant,
     ) -> Option<eden_core::span::AmbientGuard> {
         let tag = self.obs.as_mut()?;
         if tag.dequeued.is_none() {
             tag.dequeued = Some(std::time::Instant::now());
-            if let Some((rq_enq, pickup)) = sched {
-                let baseline = rq_enq.max(tag.enqueued);
-                tag.sched_ns = pickup.saturating_duration_since(baseline).as_nanos() as u64;
-            }
+            let baseline = rq_enq.max(tag.enqueued);
+            tag.sched_ns = pickup.saturating_duration_since(baseline).as_nanos() as u64;
         }
         tag.plane
             .config()

@@ -2,10 +2,11 @@
 //! crash/recovery.
 //!
 //! The real Eden kernel ran on several VAXen and routed invocations over a
-//! 10 Mbit Ethernet; this reproduction runs every Eject as a thread in one
-//! process and models distribution with [`NodeId`] placement, a remote
-//! invocation counter, and optional injected latency. The observable
-//! semantics the paper relies on are preserved:
+//! 10 Mbit Ethernet; this reproduction runs every Eject as a state machine
+//! parked on its mailbox, resumed by a worker pool in one process (see
+//! [`crate::sched`]), and models distribution with [`NodeId`] placement, a
+//! remote invocation counter, and optional injected latency. The
+//! observable semantics the paper relies on are preserved:
 //!
 //! * invocation is location independent — callers name a [`Uid`], never a
 //!   machine;
@@ -25,13 +26,12 @@
 //! different locks, and resolutions of already-active targets take only a
 //! shard *read* lock. On top of that, callers that repeatedly invoke the
 //! same target can hold a [`RouteCache`](crate::RouteCache) and skip the
-//! registry entirely — see [`Kernel::invoke_with_cache`] and the
+//! registry entirely — see [`InvokeOptions::route_cache`] and the
 //! [`routes`](crate::routes) module for the staleness protocol.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -42,13 +42,13 @@ use crate::behavior::EjectBehavior;
 use crate::context::EjectContext;
 use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::invocation::{reply_pair, Invocation, PendingReply, ReplyHandle};
-use crate::mailbox::{mailbox, receiver, MailboxSender, SendError, SendOutcome, ShedCause, ShedPolicy};
+use crate::mailbox::{mailbox, MailboxSender, SendError, SendOutcome, ShedCause, ShedPolicy};
 use crate::obs::{
     KernelSnapshot, MailboxSnapshot, ObsConfig, ObsPlane, ObsTag, SpanRecord, StageSummary,
 };
 use crate::options::{InvokeOptions, RetryState};
 use crate::routes::{Route, RouteCache};
-use crate::runtime::{run_coordinator, Envelope};
+use crate::runtime::Envelope;
 use crate::sched::{Scheduler, SchedulerConfig, Task};
 use crate::stable::StableStore;
 use crate::trace::TraceDump;
@@ -61,60 +61,18 @@ pub struct NodeId(pub u16);
 /// Default number of registry shards (rounded up to a power of two).
 pub const DEFAULT_REGISTRY_SHARDS: usize = 16;
 
-/// How Eject coordinators are executed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One dedicated thread per active Eject — the historic model, kept
-    /// behind this flag for differential testing and as a fallback. Idle
-    /// Ejects cost a resident thread each.
-    Threads,
-    /// The density plane (the default): Ejects are state machines parked
-    /// on their mailboxes, resumed by a fixed worker pool. Idle Ejects
-    /// cost zero threads; see [`SchedulerConfig`] for the knobs.
-    Scheduler(SchedulerConfig),
-}
-
-impl Default for ExecMode {
-    fn default() -> Self {
-        ExecMode::Scheduler(SchedulerConfig::default())
-    }
-}
-
-/// Construction-time options for a [`Kernel`].
+/// Construction-time settings, filled in by [`KernelBuilder`] (whose
+/// methods document each field).
 #[derive(Debug, Clone)]
-pub struct KernelConfig {
-    /// Real latency added to every cross-node invocation (send side).
-    pub remote_latency: Option<Duration>,
-    /// Real latency added to every invocation, local or remote.
-    pub invocation_latency: Option<Duration>,
-    /// Keep a ring of the last N kernel events (invocations, activations,
-    /// stops) readable via [`Kernel::trace_events`]. 0 disables tracing.
-    pub trace_capacity: usize,
-    /// Number of registry shards (rounded up to a power of two, minimum 1).
-    /// `1` reproduces the old single-lock registry — useful for measuring
-    /// contention on the same binary (see the `registry_contention` bench).
-    pub registry_shards: usize,
-    /// Mailbox capacity per Eject. `None` (the default) keeps the historic
-    /// unbounded mailboxes; `Some(n)` bounds each coordinator mailbox to
-    /// `n` envelopes and runs [`shed_policy`](KernelConfig::shed_policy)
-    /// when full — under the default [`ShedPolicy::Park`] invocation
-    /// becomes flow-controlled rather than queue-growing. Kernel control
-    /// messages (crash, shutdown) bypass the bound so a full mailbox can
-    /// never wedge teardown.
-    pub mailbox_capacity: Option<usize>,
-    /// What a full bounded mailbox does to arriving invocations (see
-    /// [`ShedPolicy`]). Irrelevant when `mailbox_capacity` is `None`.
-    /// The shedding policies surface as the retryable
-    /// [`EdenError::Overloaded`], so `invoke_with` retry/backoff composes
-    /// as client-side rate control.
-    pub shed_policy: ShedPolicy,
-    /// The observability plane: causal spans and per-stage latency
-    /// histograms (see [`ObsConfig`]). Off by default — a disabled kernel
-    /// carries no instrumentation state at all.
-    pub observability: ObsConfig,
-    /// How coordinators execute: the N-worker scheduler (default) or the
-    /// historic thread-per-Eject model (see [`ExecMode`]).
-    pub exec: ExecMode,
+struct KernelConfig {
+    remote_latency: Option<Duration>,
+    invocation_latency: Option<Duration>,
+    trace_capacity: usize,
+    registry_shards: usize,
+    mailbox_capacity: Option<usize>,
+    shed_policy: ShedPolicy,
+    observability: ObsConfig,
+    sched: SchedulerConfig,
 }
 
 impl Default for KernelConfig {
@@ -127,13 +85,13 @@ impl Default for KernelConfig {
             mailbox_capacity: None,
             shed_policy: ShedPolicy::default(),
             observability: ObsConfig::off(),
-            exec: ExecMode::default(),
+            sched: SchedulerConfig::default(),
         }
     }
 }
 
-/// Fluent construction for a [`Kernel`] — the front door for the
-/// execution-mode and scheduler knobs:
+/// The one way to configure a [`Kernel`]; [`Kernel::new`] is shorthand for
+/// `Kernel::builder().build()`.
 ///
 /// ```no_run
 /// use eden_kernel::{Kernel, SchedulerConfig};
@@ -150,69 +108,76 @@ pub struct KernelBuilder {
 }
 
 impl KernelBuilder {
-    /// A builder over the default configuration.
-    pub fn new() -> KernelBuilder {
-        KernelBuilder::default()
-    }
-
-    /// Run coordinators on the N-worker scheduler with explicit knobs
-    /// (the default mode uses [`SchedulerConfig::default`]).
+    /// Size and tune the worker pool that resumes every Eject (default:
+    /// [`SchedulerConfig::default`]).
     pub fn scheduler(mut self, config: SchedulerConfig) -> Self {
-        self.config.exec = ExecMode::Scheduler(config);
+        self.config.sched = config;
         self
     }
 
-    /// Run one dedicated thread per Eject — the fallback mode, for
-    /// differential testing against the scheduler.
-    pub fn threads_mode(mut self) -> Self {
-        self.config.exec = ExecMode::Threads;
-        self
-    }
-
-    /// See [`KernelConfig::remote_latency`].
+    /// Real latency added to every cross-node invocation (send side).
     pub fn remote_latency(mut self, latency: Duration) -> Self {
         self.config.remote_latency = Some(latency);
         self
     }
 
-    /// See [`KernelConfig::invocation_latency`].
+    /// Real latency added to every invocation, local or remote.
     pub fn invocation_latency(mut self, latency: Duration) -> Self {
         self.config.invocation_latency = Some(latency);
         self
     }
 
-    /// See [`KernelConfig::trace_capacity`].
+    /// Keep a ring of the last `capacity` kernel events (invocations,
+    /// activations, stops) readable via [`Kernel::trace_events`]. 0 (the
+    /// default) disables tracing.
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
         self.config.trace_capacity = capacity;
         self
     }
 
-    /// See [`KernelConfig::registry_shards`].
+    /// Number of registry shards (rounded up to a power of two, minimum
+    /// 1; default [`DEFAULT_REGISTRY_SHARDS`]). `1` reproduces the old
+    /// single-lock registry — useful for measuring contention on the same
+    /// binary (see the `registry_contention` bench).
     pub fn registry_shards(mut self, shards: usize) -> Self {
         self.config.registry_shards = shards;
         self
     }
 
-    /// See [`KernelConfig::mailbox_capacity`].
+    /// Bound each Eject's mailbox to `capacity` envelopes and run the
+    /// [`shed_policy`](KernelBuilder::shed_policy) when it is full —
+    /// under the default [`ShedPolicy::Park`] invocation becomes
+    /// flow-controlled rather than queue-growing. Without this call
+    /// mailboxes are unbounded. Kernel control messages (crash, shutdown)
+    /// bypass the bound so a full mailbox can never wedge teardown.
     pub fn mailbox_capacity(mut self, capacity: usize) -> Self {
         self.config.mailbox_capacity = Some(capacity);
         self
     }
 
-    /// See [`KernelConfig::shed_policy`]. Takes effect only together with
-    /// [`mailbox_capacity`](KernelBuilder::mailbox_capacity).
+    /// What a full bounded mailbox does to arriving invocations (see
+    /// [`ShedPolicy`]). Takes effect only together with
+    /// [`mailbox_capacity`](KernelBuilder::mailbox_capacity). The
+    /// shedding policies surface as the retryable
+    /// [`EdenError::Overloaded`], so `invoke_with` retry/backoff composes
+    /// as client-side rate control.
     pub fn shed_policy(mut self, policy: ShedPolicy) -> Self {
         self.config.shed_policy = policy;
         self
     }
 
-    /// See [`KernelConfig::observability`].
+    /// The observability plane: causal spans and per-stage latency
+    /// histograms (see [`ObsConfig`]). Off by default — a disabled kernel
+    /// carries no instrumentation state at all.
     pub fn observability(mut self, obs: ObsConfig) -> Self {
         self.config.observability = obs;
         self
     }
 
-    /// Attach an existing stable store (whole-system restart).
+    /// Attach an existing stable store — how whole-system restart is
+    /// simulated: build a new kernel over the old store and re-register
+    /// the type constructors. Checkpointed Ejects from the previous life
+    /// are immediately invocable (they reactivate on first invocation).
     pub fn stable_store(mut self, store: StableStore) -> Self {
         self.stable = Some(store);
         self
@@ -231,10 +196,49 @@ impl KernelBuilder {
         Ok(self)
     }
 
-    /// Build the kernel.
+    /// Build the kernel, registering every passive Eject the stable store
+    /// already holds.
     pub fn build(self) -> Kernel {
-        let store = self.stable.unwrap_or_default();
-        Kernel::with_stable_store(self.config, store)
+        let KernelBuilder { config, stable } = self;
+        let stable = stable.unwrap_or_default();
+        let shard_count = config.registry_shards.max(1).next_power_of_two();
+        let shards: Box<[Shard]> = (0..shard_count).map(|_| Shard::default()).collect();
+        let trace = (config.trace_capacity > 0)
+            .then(|| crate::trace::TraceLog::new(config.trace_capacity));
+        let obs = config
+            .observability
+            .enabled()
+            .then(|| Arc::new(ObsPlane::new(config.observability)));
+        let inner = KernelInner {
+            shards,
+            shard_mask: shard_count - 1,
+            types: Mutex::new(HashMap::new()),
+            stable,
+            metrics: Metrics::new(),
+            sched: Scheduler::new(config.sched),
+            config,
+            trace,
+            obs,
+            faults: FaultInjector::default(),
+            shutting_down: AtomicBool::new(false),
+        };
+        for uid in inner.stable.uids() {
+            if let Ok(rec) = inner.stable.load(uid) {
+                inner.shard(uid).slots.write().insert(
+                    uid,
+                    Slot {
+                        state: SlotState::Passive {
+                            type_name: rec.type_name,
+                        },
+                        node: NodeId::default(),
+                        incarnation: 0,
+                    },
+                );
+            }
+        }
+        Kernel {
+            inner: Arc::new(inner),
+        }
     }
 }
 
@@ -243,11 +247,12 @@ impl KernelBuilder {
 pub type TypeFactory =
     Arc<dyn Fn(Option<Value>) -> Result<Box<dyn EjectBehavior>> + Send + Sync>;
 
-/// Whether a UID currently names a running coordinator or a passive
+/// Whether a UID currently names a live coordinator or a passive
 /// representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EjectState {
-    /// The Eject has a running coordinator thread.
+    /// The Eject has a live coordinator (parked on its mailbox or running
+    /// on the worker pool).
     Active,
     /// The Eject exists only as its passive representation; the next
     /// invocation will reactivate it.
@@ -269,22 +274,16 @@ struct Slot {
 enum SlotState {
     Active {
         tx: MailboxSender,
-        exec: ExecHandle,
+        /// The parked-mailbox task owned by the scheduler. The registry
+        /// slot is what keeps a task alive — the mailbox holds only weak
+        /// references back to it, so dropping the slot (after teardown)
+        /// frees the state machine.
+        task: Arc<Task>,
         type_name: &'static str,
     },
     Passive {
         type_name: String,
     },
-}
-
-/// The execution resource behind an active Eject: a dedicated coordinator
-/// thread (threads mode) or a parked-mailbox task owned by the scheduler.
-/// The registry slot is what keeps a task alive — the mailbox holds only
-/// weak references back to it, so dropping the slot (after teardown) frees
-/// the state machine.
-enum ExecHandle {
-    Thread(Option<JoinHandle<()>>),
-    Task(Arc<Task>),
 }
 
 /// One registry shard. Non-mutating resolutions (the overwhelmingly common
@@ -318,8 +317,8 @@ pub(crate) struct KernelInner {
     trace: Option<crate::trace::TraceLog>,
     obs: Option<Arc<ObsPlane>>,
     faults: FaultInjector,
-    /// The worker pool, present in [`ExecMode::Scheduler`] only.
-    sched: Option<Arc<Scheduler>>,
+    /// The worker pool that resumes every active Eject.
+    sched: Arc<Scheduler>,
     shutting_down: AtomicBool,
 }
 
@@ -340,54 +339,36 @@ impl Drop for KernelInner {
         // backstop for the race where two handles drop concurrently and
         // each thought the other would do it.
         self.shutting_down.store(true, Ordering::Release);
-        let mut entries: Vec<(MailboxSender, ExecHandle)> = Vec::new();
+        let mut entries: Vec<(MailboxSender, Arc<Task>)> = Vec::new();
         for shard in self.shards.iter_mut() {
             entries.extend(shard.slots.get_mut().drain().filter_map(|(_, slot)| {
                 match slot.state {
-                    SlotState::Active { tx, exec, .. } => Some((tx, exec)),
+                    SlotState::Active { tx, task, .. } => Some((tx, task)),
                     SlotState::Passive { .. } => None,
                 }
             }));
         }
-        shutdown_entries(entries, self.sched.as_ref());
-        if let Some(sched) = &self.sched {
-            sched.stop();
-        }
+        shutdown_entries(entries, &self.sched);
+        self.sched.stop();
     }
 }
 
-/// Tell every coordinator to stop, release our senders, then wait. The
-/// sender release must precede the waits: a coordinator may be blocked
-/// waiting for an envelope queued at another (already exited) coordinator
-/// to be dropped, which happens only once every sender for that mailbox is
-/// gone. Shutdown envelopes bypass any mailbox bound (`force_send`): with
-/// bounded mailboxes a plain send could park forever behind a full mailbox
-/// whose coordinator is itself waiting to shut down. Threads-mode entries
-/// are joined (skipping the current thread — shutdown can be triggered
-/// from inside a coordinator); scheduler-mode entries are awaited via the
-/// pool's death latch, which excuses the calling worker's own task.
-fn shutdown_entries(entries: Vec<(MailboxSender, ExecHandle)>, sched: Option<&Arc<Scheduler>>) {
-    let mut joins = Vec::new();
-    let mut tasks = Vec::new();
-    for (tx, exec) in entries {
-        let _ = tx.force_send(Envelope::Shutdown);
-        drop(tx);
-        match exec {
-            ExecHandle::Thread(join) => joins.push(join),
-            ExecHandle::Task(task) => tasks.push(task),
-        }
-    }
-    let current = std::thread::current().id();
-    for join in joins.into_iter().flatten() {
-        if join.thread().id() != current {
-            // eden-lint: nonblocking(threads-mode coordinator joins; no pool exists in that mode)
-            let _ = join.join();
-        }
-    }
-    if let Some(sched) = sched {
-        if !tasks.is_empty() {
-            sched.wait_all_dead();
-        }
+/// Tell every coordinator to stop, release our senders, then wait for the
+/// pool's death latch, which excuses the calling worker's own task
+/// (shutdown can be triggered from inside a coordinator). Shutdown
+/// envelopes bypass any mailbox bound (`force_send`): with bounded
+/// mailboxes a plain send could park forever behind a full mailbox whose
+/// coordinator is itself waiting to shut down.
+fn shutdown_entries(entries: Vec<(MailboxSender, Arc<Task>)>, sched: &Scheduler) {
+    let tasks: Vec<Arc<Task>> = entries
+        .into_iter()
+        .map(|(tx, task)| {
+            let _ = tx.force_send(Envelope::Shutdown);
+            task
+        })
+        .collect();
+    if !tasks.is_empty() {
+        sched.wait_all_dead();
     }
     // Dropping `tasks` here releases the dead state machines.
     drop(tasks);
@@ -409,7 +390,7 @@ impl WeakKernel {
 /// Handle to a simulated Eden kernel.
 ///
 /// Clones share the kernel. When the last clone drops, the kernel shuts
-/// down: every coordinator receives a shutdown envelope and is joined.
+/// down: every coordinator receives a shutdown envelope and is awaited.
 /// Prefer calling [`Kernel::shutdown`] explicitly in tests so teardown
 /// problems surface where they happen.
 pub struct Kernel {
@@ -434,64 +415,10 @@ impl Clone for Kernel {
 }
 
 impl Kernel {
-    /// A kernel with default configuration and a fresh stable store.
+    /// A kernel with default configuration and a fresh stable store:
+    /// shorthand for `Kernel::builder().build()`.
     pub fn new() -> Self {
-        Kernel::with_config(KernelConfig::default())
-    }
-
-    /// A kernel with explicit configuration.
-    pub fn with_config(config: KernelConfig) -> Self {
-        Kernel::with_stable_store(config, StableStore::new())
-    }
-
-    /// A kernel attached to an existing stable store — how the tests
-    /// simulate whole-system restart: build a new kernel over the old
-    /// store and re-register the type constructors. Checkpointed Ejects
-    /// from the previous life are immediately invocable (they reactivate
-    /// on first invocation).
-    pub fn with_stable_store(config: KernelConfig, stable: StableStore) -> Self {
-        let shard_count = config.registry_shards.max(1).next_power_of_two();
-        let shards: Box<[Shard]> = (0..shard_count).map(|_| Shard::default()).collect();
-        let trace = (config.trace_capacity > 0)
-            .then(|| crate::trace::TraceLog::new(config.trace_capacity));
-        let obs = config
-            .observability
-            .enabled()
-            .then(|| Arc::new(ObsPlane::new(config.observability)));
-        let sched = match &config.exec {
-            ExecMode::Scheduler(sched_config) => Some(Scheduler::new(*sched_config)),
-            ExecMode::Threads => None,
-        };
-        let inner = KernelInner {
-            shards,
-            shard_mask: shard_count - 1,
-            types: Mutex::new(HashMap::new()),
-            stable,
-            metrics: Metrics::new(),
-            config,
-            trace,
-            obs,
-            faults: FaultInjector::default(),
-            sched,
-            shutting_down: AtomicBool::new(false),
-        };
-        for uid in inner.stable.uids() {
-            if let Ok(rec) = inner.stable.load(uid) {
-                inner.shard(uid).slots.write().insert(
-                    uid,
-                    Slot {
-                        state: SlotState::Passive {
-                            type_name: rec.type_name,
-                        },
-                        node: NodeId::default(),
-                        incarnation: 0,
-                    },
-                );
-            }
-        }
-        Kernel {
-            inner: Arc::new(inner),
-        }
+        Kernel::builder().build()
     }
 
     /// A weak handle for storage inside Eject contexts.
@@ -506,7 +433,7 @@ impl Kernel {
 
     /// The traced kernel events, oldest first, with the count of events the
     /// bounded ring has evicted (empty unless
-    /// [`KernelConfig::trace_capacity`] was set). The dump derefs to
+    /// [`KernelBuilder::trace_capacity`] was set). The dump derefs to
     /// `[TraceEvent]`, so iteration and indexing work directly on it.
     pub fn trace_events(&self) -> TraceDump {
         self.inner
@@ -576,12 +503,7 @@ impl Kernel {
             trace_dropped: self.trace_dropped(),
             spans_recorded: obs.map(|o| o.span_count()).unwrap_or(0),
             spans_dropped: obs.map(|o| o.spans_dropped()).unwrap_or(0),
-            sched: self
-                .inner
-                .sched
-                .as_ref()
-                .map(|s| s.snapshot())
-                .unwrap_or_default(),
+            sched: self.inner.sched.snapshot(),
             stable: self.inner.stable.stats(),
             mailbox: self.mailbox_snapshot(),
         }
@@ -607,9 +529,9 @@ impl Kernel {
         snap
     }
 
-    /// A convenient entry point to [`KernelBuilder`].
+    /// The entry point to [`KernelBuilder`].
     pub fn builder() -> KernelBuilder {
-        KernelBuilder::new()
+        KernelBuilder::default()
     }
 
     /// Invocation tallies per target Eject, busiest first (empty unless
@@ -679,33 +601,6 @@ impl Kernel {
         opts: InvokeOptions<'_>,
     ) -> PendingReply {
         self.invoke_with_from(NodeId::default(), target, op.into(), arg, opts)
-    }
-
-    /// Deprecated synchronous shim. `invoke_sync(t, op, a)` is exactly
-    /// `invoke(t, op, a).wait()`.
-    #[cfg(feature = "legacy-shims")]
-    #[deprecated(since = "0.3.0", note = "use `invoke(..).wait()`")]
-    pub fn invoke_sync(
-        &self,
-        target: Uid,
-        op: impl Into<OpName>,
-        arg: Value,
-    ) -> Result<Value> {
-        self.invoke(target, op, arg).wait()
-    }
-
-    /// Deprecated cached-route shim. Equivalent to [`Kernel::invoke_with`]
-    /// with [`InvokeOptions::route_cache`].
-    #[cfg(feature = "legacy-shims")]
-    #[deprecated(since = "0.3.0", note = "use `invoke_with(.., InvokeOptions::new().route_cache(cache))`")]
-    pub fn invoke_with_cache(
-        &self,
-        cache: &mut RouteCache,
-        target: Uid,
-        op: impl Into<OpName>,
-        arg: Value,
-    ) -> PendingReply {
-        self.invoke_with(target, op, arg, InvokeOptions::new().route_cache(cache))
     }
 
     /// The options-bearing invocation path, with an explicit originating
@@ -1216,25 +1111,13 @@ impl Kernel {
     /// Simulated fail-stop crash of one Eject. The coordinator stops at
     /// its next dispatch point without replying to anything outstanding;
     /// waiters observe [`EdenError::EjectCrashed`]. Blocks until the
-    /// coordinator has exited — except when an Eject crashes *itself*
-    /// (scheduler mode detects this and returns without waiting; in
-    /// threads mode a self-crash must not be attempted from the
-    /// coordinator thread).
+    /// coordinator has exited — except when an Eject crashes *itself*,
+    /// which returns without waiting.
     pub fn crash(&self, uid: Uid) -> Result<()> {
-        enum CrashWait {
-            Join(Option<JoinHandle<()>>),
-            Task(Arc<Task>),
-        }
-        let (tx, wait) = {
-            let mut slots = self.inner.shard(uid).slots.write();
-            match slots.get_mut(&uid).map(|slot| &mut slot.state) {
-                Some(SlotState::Active { tx, exec, .. }) => {
-                    let wait = match exec {
-                        ExecHandle::Thread(join) => CrashWait::Join(join.take()),
-                        ExecHandle::Task(task) => CrashWait::Task(Arc::clone(task)),
-                    };
-                    (tx.clone(), wait)
-                }
+        let (tx, task) = {
+            let slots = self.inner.shard(uid).slots.read();
+            match slots.get(&uid).map(|slot| &slot.state) {
+                Some(SlotState::Active { tx, task, .. }) => (tx.clone(), Arc::clone(task)),
                 Some(SlotState::Passive { .. }) => return Ok(()),
                 None => return Err(EdenError::NoSuchEject(uid)),
             }
@@ -1242,21 +1125,11 @@ impl Kernel {
         self.inner.metrics.record_crash();
         // Crash must land even if the mailbox is bounded and full.
         let _ = tx.force_send(Envelope::Crash);
-        drop(tx);
-        match wait {
-            CrashWait::Join(Some(join)) => {
-                // eden-lint: nonblocking(threads-mode coordinator joins; no pool exists in that mode)
-                let _ = join.join();
-            }
-            CrashWait::Join(None) => {}
-            CrashWait::Task(task) => {
-                // A worker crashing the very task it is resuming cannot
-                // wait for that task to die — it dies when this dispatch
-                // returns. Every other caller gets the blocking semantics.
-                if crate::sched::current_task() != Some(uid) {
-                    task.wait_dead();
-                }
-            }
+        // A worker crashing the very task it is resuming cannot wait for
+        // that task to die — it dies when this dispatch returns. Every
+        // other caller gets the blocking semantics.
+        if crate::sched::current_task() != Some(uid) {
+            task.wait_dead();
         }
         Ok(())
     }
@@ -1373,30 +1246,16 @@ impl Kernel {
         // sends — e.g. a conventional pump spawning — and a
         // crash/reactivate cycle both stay causally connected.
         let ambient = eden_core::span::current();
-        let exec = match &self.inner.sched {
-            Some(sched) => ExecHandle::Task(sched.spawn_task(
-                core, ctx, weak, incarnation, behavior, ambient,
-            )),
-            None => {
-                let rx = receiver(core);
-                let join = std::thread::Builder::new()
-                    .name(format!("eject-{}-{type_name}", uid.seq()))
-                    .spawn(move || {
-                        let _span = ambient.map(|ctx| eden_core::span::enter(Some(ctx)));
-                        run_coordinator(behavior, ctx, rx, weak, incarnation)
-                    })
-                    .map_err(|e| {
-                        EdenError::Application(format!("cannot spawn coordinator: {e}"))
-                    })?;
-                ExecHandle::Thread(Some(join))
-            }
-        };
+        let task = self
+            .inner
+            .sched
+            .spawn_task(core, ctx, weak, incarnation, behavior, ambient);
         slots.insert(
             uid,
             Slot {
                 state: SlotState::Active {
                     tx,
-                    exec,
+                    task,
                     type_name,
                 },
                 node,
@@ -1406,25 +1265,23 @@ impl Kernel {
         Ok(())
     }
 
-    /// Stop every Eject and join every coordinator, then (in scheduler
-    /// mode) stop the worker pool. Idempotent. Passive representations
-    /// survive in the stable store.
+    /// Stop every Eject and await every coordinator, then stop the worker
+    /// pool. Idempotent. Passive representations survive in the stable
+    /// store.
     pub fn shutdown(&self) {
         if self.inner.shutting_down.swap(true, Ordering::AcqRel) {
             return;
         }
-        let mut entries: Vec<(MailboxSender, ExecHandle)> = Vec::new();
+        let mut entries: Vec<(MailboxSender, Arc<Task>)> = Vec::new();
         for shard in self.inner.shards.iter() {
             let mut slots = shard.slots.write();
             entries.extend(slots.drain().filter_map(|(_, slot)| match slot.state {
-                SlotState::Active { tx, exec, .. } => Some((tx, exec)),
+                SlotState::Active { tx, task, .. } => Some((tx, task)),
                 SlotState::Passive { .. } => None,
             }));
         }
-        shutdown_entries(entries, self.inner.sched.as_ref());
-        if let Some(sched) = &self.inner.sched {
-            sched.stop();
-        }
+        shutdown_entries(entries, &self.inner.sched);
+        self.inner.sched.stop();
     }
 }
 

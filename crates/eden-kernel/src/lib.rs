@@ -8,8 +8,8 @@
 //!
 //! * [`Kernel`] — registry, routing, activation-on-invocation, simulated
 //!   nodes, fault injection, shutdown;
-//! * [`EjectBehavior`] — the "type code" of an Eject, run on a dedicated
-//!   coordinator thread;
+//! * [`EjectBehavior`] — the "type code" of an Eject, run by a coordinator
+//!   that a worker pool resumes whenever its mailbox has mail;
 //! * [`EjectContext`] / [`ProcessContext`] — invocation sending, worker
 //!   processes, internal (language-level) messaging, checkpointing;
 //! * [`ReplyHandle`] / [`PendingReply`] — first-class replies. Parking a
@@ -70,8 +70,8 @@ pub use invocation::{
     reply_pair, Invocation, PendingReply, ReplyHandle, DEFAULT_REPLY_TIMEOUT,
 };
 pub use kernel::{
-    EjectInfo, EjectState, ExecMode, Kernel, KernelBuilder, KernelConfig, NodeId, TypeFactory,
-    WeakKernel, DEFAULT_REGISTRY_SHARDS,
+    EjectInfo, EjectState, Kernel, KernelBuilder, NodeId, TypeFactory, WeakKernel,
+    DEFAULT_REGISTRY_SHARDS,
 };
 pub use mailbox::{ShedCause, ShedPolicy};
 pub use obs::{

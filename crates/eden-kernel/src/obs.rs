@@ -29,7 +29,7 @@ use crate::kernel::NodeId;
 use crate::sched::SchedSnapshot;
 
 /// Construction-time options for the observability plane, carried in
-/// [`KernelConfig::observability`](crate::KernelConfig).
+/// [`KernelBuilder::observability`](crate::KernelBuilder::observability).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Record a causal span per delivered invocation.
@@ -105,7 +105,6 @@ pub struct SpanRecord {
     pub queue_ns: u64,
     /// Scheduler wait: time the target's parked state machine spent on the
     /// run queue before a worker resumed it to service this invocation.
-    /// Always zero in `threads` execution mode.
     pub sched_ns: u64,
     /// Time from dequeue to reply resolution — includes any time the reply
     /// was parked as passive output.
@@ -201,17 +200,16 @@ pub struct StageSummary {
     pub count: u64,
     /// Mailbox wait distribution (run-queue time excluded).
     pub queue: Histogram,
-    /// Scheduler wait distribution (run-queue time; all-zero in `threads`
-    /// execution mode).
+    /// Scheduler wait distribution (run-queue time).
     pub sched: Histogram,
     /// Service time distribution (dequeue to reply resolution).
     pub service: Histogram,
 }
 
 /// One per-stage accumulator. The shards hold these in a flat vector and
-/// find them by linear scan: completions land on the responder's own
-/// coordinator thread, so a shard sees only the handful of (Eject, op)
-/// pairs that thread serves, and a two-word compare over ≤ a dozen entries
+/// find them by linear scan: completions land on the worker thread
+/// resuming the responder, so a shard sees only the (Eject, op) pairs
+/// that thread serves, and a two-word compare over ≤ a dozen entries
 /// beats hashing the key on the reply path every time.
 struct StageSlot {
     target: Uid,
@@ -289,8 +287,8 @@ impl ObsPlane {
         self.config
     }
 
-    /// The calling thread's shard. Completions run on the responder's
-    /// coordinator thread, so handing each thread its own shard (round-
+    /// The calling thread's shard. Completions run on the worker thread
+    /// resuming the responder, so handing each thread its own shard (round-
     /// robin on first use) makes the hot-path lock effectively private —
     /// sharding by target UID instead lets two coordinators collide in a
     /// shard and park on each other, which costs a context switch per
@@ -319,7 +317,7 @@ impl ObsPlane {
     pub(crate) fn complete(&self, tag: &ObsTag, ok: bool) {
         let end = Instant::now();
         let dequeued = tag.dequeued.unwrap_or(end);
-        // The scheduler wait (stamped at pickup, zero in threads mode) is
+        // The scheduler wait (stamped at pickup) is
         // carved out of the enqueue→dequeue interval, so the three stages
         // still sum to the exact span duration.
         let total_wait_ns = dequeued.saturating_duration_since(tag.enqueued).as_nanos() as u64;
@@ -476,8 +474,7 @@ pub(crate) struct ObsTag {
     pub(crate) to: NodeId,
     pub(crate) enqueued: Instant,
     pub(crate) dequeued: Option<Instant>,
-    /// Run-queue wait attributed at pickup time (scheduler mode only;
-    /// stays zero in threads mode).
+    /// Run-queue wait attributed at pickup time.
     pub(crate) sched_ns: u64,
 }
 
@@ -541,7 +538,7 @@ pub struct KernelSnapshot {
     /// Spans evicted from the span store.
     pub spans_dropped: u64,
     /// Density-plane gauges: resident/parked Ejects, steal count, worker
-    /// pool state (all zero in `threads` execution mode).
+    /// pool state.
     pub sched: SchedSnapshot,
     /// Durability-plane gauges from the stable store backend: segment
     /// count, log bytes, compactions and fsyncs (all zero for memory
@@ -861,8 +858,6 @@ mod tests {
                 NodeId(0),
             );
             plane.complete(&tag, true);
-            // (ObsTag::new zero-initialises sched_ns; threads-mode spans
-            // always carve a zero sched stage.)
         }
         // All three landed in the same shard (same uid) with capacity 1.
         assert_eq!(plane.spans().len(), 1);

@@ -1,12 +1,10 @@
 //! Invocation options: deadlines, retry policy, route caching, fault
 //! immunity — the configuration side of the single-verb invoke API.
 //!
-//! PR 1 grew the kernel three invocation entry points (`invoke`,
-//! `invoke_sync`, `invoke_with_cache`); adding fault policy would have made
-//! a fourth. Following SEND's single-verb design, everything now goes
-//! through [`Kernel::invoke`] / [`Kernel::invoke_with`]: one verb, one
+//! Following SEND's single-verb design, every invocation goes through
+//! [`Kernel::invoke`] / [`Kernel::invoke_with`]: one verb, one
 //! [`PendingReply`], with the knobs gathered in a builder-style
-//! [`InvokeOptions`].
+//! [`InvokeOptions`] rather than in one entry point per knob.
 //!
 //! [`Kernel::invoke`]: crate::Kernel::invoke
 //! [`Kernel::invoke_with`]: crate::Kernel::invoke_with

@@ -81,7 +81,7 @@ const ROUTE_CACHE_CAP: usize = 32;
 /// Deliberately *not* shared or synchronised: each connection (or external
 /// caller) owns its cache, so the fast path is lock-free by construction.
 /// Create one with [`RouteCache::new`] and pass it to
-/// [`Kernel::invoke_with_cache`](crate::Kernel::invoke_with_cache),
+/// [`InvokeOptions::route_cache`](crate::InvokeOptions::route_cache),
 /// [`EjectContext::invoke_routed`](crate::EjectContext::invoke_routed), or
 /// [`ProcessContext::invoke_routed`](crate::ProcessContext::invoke_routed).
 #[derive(Default, Debug)]

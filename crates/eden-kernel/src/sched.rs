@@ -352,8 +352,7 @@ struct WorkerSlot {
     progress: AtomicU64,
 }
 
-/// Tuning knobs for the scheduler execution mode, carried in
-/// [`ExecMode::Scheduler`](crate::ExecMode) and settable through
+/// Tuning knobs for the worker pool, set through
 /// [`KernelBuilder::scheduler`](crate::KernelBuilder::scheduler).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
@@ -401,7 +400,7 @@ impl SchedulerConfig {
 }
 
 /// Scheduler gauges and counters, embedded in
-/// [`KernelSnapshot`](crate::KernelSnapshot). All zero in `threads` mode.
+/// [`KernelSnapshot`](crate::KernelSnapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedSnapshot {
     /// Live scheduler tasks (every active Eject, parked or not).
@@ -452,8 +451,7 @@ struct TaskBody {
     /// `activate` runs on the first resume, not at spawn: the spawner's
     /// shard lock must not be held across user code.
     activated: bool,
-    /// The ambient span at spawn time, re-entered for every resume (a
-    /// coordinator thread inherited it once at thread start).
+    /// The ambient span at spawn time, re-entered for every resume.
     ambient: Option<SpanContext>,
 }
 
@@ -1131,9 +1129,8 @@ impl Scheduler {
             Ok(Resume::Yield) => {}
             Ok(Resume::Dead(crashed)) => self.reap(&task, crashed),
             Err(_) => {
-                // The behaviour panicked mid-dispatch. Thread-per-Eject
-                // lost the coordinator thread here; the pool must survive
-                // instead, so the task dies as a crash and the worker
+                // The behaviour panicked mid-dispatch. The pool must
+                // survive, so the task dies as a crash and the worker
                 // lives on. The behaviour box was dropped by the unwind,
                 // releasing any parked replies.
                 task.ctx.begin_stop();
@@ -1175,8 +1172,8 @@ impl Scheduler {
             match task.core.pop() {
                 Some(Envelope::Invocation(inv, mut reply)) => {
                     budget -= 1;
-                    let _guard = reply.begin_service_at(Some((rq_enq, pickup)));
-                    dispatch(body.behavior.as_mut(), &task.ctx, &task.kernel, inv, reply);
+                    let _guard = reply.begin_service(rq_enq, pickup);
+                    dispatch(body.behavior.as_mut(), &task.ctx, inv, reply);
                 }
                 Some(Envelope::Internal(event)) => {
                     budget -= 1;
@@ -1221,8 +1218,7 @@ impl Scheduler {
         }
     }
 
-    /// The in-resume half of the death path: mirror of the coordinator
-    /// thread's exit tail, up to dropping the behaviour.
+    /// The in-resume half of the death path, up to dropping the behaviour.
     fn die(&self, task: &Arc<Task>, body: TaskBody, crashed: bool) -> Resume {
         let TaskBody { mut behavior, .. } = body;
         behavior.deactivating(&task.ctx);

@@ -2,7 +2,7 @@
 //!
 //! The paper's cost argument is denominated in invocations; this module
 //! makes them observable one by one. Enable with
-//! [`KernelConfig::trace_capacity`](crate::KernelConfig) and read back with
+//! [`KernelBuilder::trace_capacity`](crate::KernelBuilder::trace_capacity) and read back with
 //! [`Kernel::trace_events`](crate::Kernel) — the experiment harness uses it
 //! to show *which* Eject pairs exchange the n+1 versus 2n+2 messages.
 

@@ -9,7 +9,7 @@ use std::time::Duration;
 use eden_core::op::ops;
 use eden_core::{EdenError, Value};
 use eden_kernel::{
-    EjectBehavior, EjectContext, EjectState, Invocation, Kernel, KernelConfig, NodeId,
+    EjectBehavior, EjectContext, EjectState, Invocation, Kernel, NodeId,
     ReplyHandle, StableStore,
 };
 
@@ -298,7 +298,7 @@ fn whole_system_restart_from_stable_store() {
     let store = StableStore::new();
     let counter;
     {
-        let kernel = Kernel::with_stable_store(KernelConfig::default(), store.clone());
+        let kernel = Kernel::builder().stable_store(store.clone()).build();
         register_counter(&kernel);
         counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
         for _ in 0..5 {
@@ -307,7 +307,7 @@ fn whole_system_restart_from_stable_store() {
         kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
         kernel.shutdown();
     }
-    let kernel2 = Kernel::with_stable_store(KernelConfig::default(), store);
+    let kernel2 = Kernel::builder().stable_store(store).build();
     register_counter(&kernel2);
     let got = kernel2.invoke(counter, "Get", Value::Unit).wait().unwrap();
     assert_eq!(got, Value::Int(5));
@@ -361,13 +361,13 @@ fn reactivation_without_registered_type_fails() {
     let store = StableStore::new();
     let counter;
     {
-        let kernel = Kernel::with_stable_store(KernelConfig::default(), store.clone());
+        let kernel = Kernel::builder().stable_store(store.clone()).build();
         register_counter(&kernel);
         counter = kernel.spawn(Box::new(Counter { count: 0 })).unwrap();
         kernel.invoke(counter, ops::CHECKPOINT, Value::Unit).wait().unwrap();
         kernel.shutdown();
     }
-    let kernel2 = Kernel::with_stable_store(KernelConfig::default(), store);
+    let kernel2 = Kernel::builder().stable_store(store).build();
     // No register_type: the constructor is missing.
     let err = kernel2.invoke(counter, "Get", Value::Unit).wait().unwrap_err();
     assert!(matches!(err, EdenError::Application(_)));
@@ -533,10 +533,9 @@ fn concurrent_clients_are_serialized_per_eject() {
 
 #[test]
 fn injected_latency_slows_invocations() {
-    let kernel = Kernel::with_config(KernelConfig {
-        invocation_latency: Some(Duration::from_millis(5)),
-        ..Default::default()
-    });
+    let kernel = Kernel::builder()
+        .invocation_latency(Duration::from_millis(5))
+        .build();
     let echo = kernel.spawn(Box::new(Echo)).unwrap();
     let start = std::time::Instant::now();
     for _ in 0..4 {

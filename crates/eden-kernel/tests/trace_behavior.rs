@@ -2,7 +2,7 @@
 
 use eden_core::{EdenError, Value};
 use eden_kernel::{
-    EjectBehavior, EjectContext, Invocation, Kernel, KernelConfig, NodeId, ReplyHandle,
+    EjectBehavior, EjectContext, Invocation, Kernel, NodeId, ReplyHandle,
     TraceEvent,
 };
 
@@ -24,10 +24,7 @@ impl EjectBehavior for Echo {
 }
 
 fn traced_kernel() -> Kernel {
-    Kernel::with_config(KernelConfig {
-        trace_capacity: 128,
-        ..Default::default()
-    })
+    Kernel::builder().trace_capacity(128).build()
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use std::io::{BufRead, Write};
 
-use eden_kernel::{Kernel, KernelConfig, ObsConfig};
+use eden_kernel::{Kernel, ObsConfig};
 use eden_shell::session::Session;
 
 fn main() {
@@ -26,11 +26,10 @@ fn main() {
             }
         }
     }
-    let kernel = Kernel::with_config(KernelConfig {
-        trace_capacity: 256,
-        observability,
-        ..Default::default()
-    });
+    let kernel = Kernel::builder()
+        .trace_capacity(256)
+        .observability(observability)
+        .build();
     let session = match Session::new(&kernel) {
         Ok(s) => s,
         Err(e) => {

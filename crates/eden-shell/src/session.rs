@@ -373,7 +373,7 @@ impl Session {
                 let spans = self.kernel.spans();
                 if !self.kernel.spans_enabled() {
                     return Ok(vec![
-                        "span recording disabled (enable KernelConfig.observability.spans)"
+                        "span recording disabled (enable spans via KernelBuilder::observability; eden-sh: --obs)"
                             .to_owned(),
                     ]);
                 }
@@ -504,10 +504,7 @@ mod tests {
 
     #[test]
     fn trace_command_reports_state() {
-        let kernel = Kernel::with_config(eden_kernel::KernelConfig {
-            trace_capacity: 64,
-            ..Default::default()
-        });
+        let kernel = Kernel::builder().trace_capacity(64).build();
         let s = Session::new(&kernel).unwrap();
         s.execute("mkfile t a").unwrap();
         let trace = s.execute("trace").unwrap();
@@ -536,10 +533,7 @@ mod tests {
 
     #[test]
     fn trace_reports_ring_eviction() {
-        let kernel = Kernel::with_config(eden_kernel::KernelConfig {
-            trace_capacity: 4,
-            ..Default::default()
-        });
+        let kernel = Kernel::builder().trace_capacity(4).build();
         let s = Session::new(&kernel).unwrap();
         for i in 0..4 {
             s.execute(&format!("mkfile f{i} x")).unwrap();
@@ -554,10 +548,9 @@ mod tests {
 
     #[test]
     fn trace_export_emits_chrome_json() {
-        let kernel = Kernel::with_config(eden_kernel::KernelConfig {
-            observability: eden_kernel::ObsConfig::full(),
-            ..Default::default()
-        });
+        let kernel = Kernel::builder()
+            .observability(eden_kernel::ObsConfig::full())
+            .build();
         let s = Session::new(&kernel).unwrap();
         s.execute("mkfile notes hello").unwrap();
         s.execute("cat notes").unwrap();

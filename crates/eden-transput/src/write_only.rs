@@ -136,7 +136,7 @@ where
 ///
 /// The pump starts on the `Start` invocation; the reply to `Start` is
 /// deferred until the final write has been acknowledged, so
-/// `invoke_sync(source, "Start", ..)` is "run the pipeline".
+/// `invoke(source, "Start", ..).wait()` is "run the pipeline".
 #[derive(Debug)]
 pub struct PushSourceEject {
     source: Option<Box<dyn PullSource>>,

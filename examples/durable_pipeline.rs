@@ -16,14 +16,11 @@ use eden::core::op::ops;
 use eden::core::Value;
 use eden::filters::{DurableFilterEject, FilterSpec};
 use eden::fs::{register_fs_types, FileEject};
-use eden::kernel::{Kernel, KernelConfig};
+use eden::kernel::Kernel;
 use eden::transput::protocol::{Batch, TransferRequest};
 
 fn main() {
-    let kernel = Kernel::with_config(KernelConfig {
-        trace_capacity: 512,
-        ..Default::default()
-    });
+    let kernel = Kernel::builder().trace_capacity(512).build();
     register_fs_types(&kernel);
     DurableFilterEject::register(&kernel);
 

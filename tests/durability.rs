@@ -7,7 +7,7 @@ use eden::core::op::ops;
 use eden::core::{Uid, Value};
 use eden::filters::{DurableFilterEject, FilterSpec};
 use eden::fs::{register_fs_types, FileEject};
-use eden::kernel::{Kernel, KernelConfig, StableStore};
+use eden::kernel::{Kernel, StableStore};
 use eden::transput::protocol::{Batch, TransferRequest};
 
 fn register_all(kernel: &Kernel) {
@@ -90,7 +90,7 @@ fn mid_stream_pipeline_survives_whole_system_restart() {
     let store = StableStore::new();
     let filter;
     {
-        let kernel = Kernel::with_stable_store(KernelConfig::default(), store.clone());
+        let kernel = Kernel::builder().stable_store(store.clone()).build();
         register_all(&kernel);
         let (_cursor, f) = durable_chain(&kernel, 6);
         filter = f;
@@ -99,7 +99,7 @@ fn mid_stream_pipeline_survives_whole_system_restart() {
         kernel.shutdown();
     }
     // "Reboot": fresh kernel over the same stable store.
-    let kernel = Kernel::with_stable_store(KernelConfig::default(), store);
+    let kernel = Kernel::builder().stable_store(store).build();
     register_all(&kernel);
     let mut rest = Vec::new();
     loop {
@@ -126,7 +126,7 @@ fn durable_pipeline_over_disk_backed_store() {
     let filter;
     {
         let store = StableStore::persistent(&dir).expect("open store");
-        let kernel = Kernel::with_stable_store(KernelConfig::default(), store);
+        let kernel = Kernel::builder().stable_store(store).build();
         register_all(&kernel);
         let (_cursor, f) = durable_chain(&kernel, 4);
         filter = f;
@@ -137,7 +137,7 @@ fn durable_pipeline_over_disk_backed_store() {
     {
         // Re-open the store from disk — nothing shared in memory.
         let store = StableStore::persistent(&dir).expect("reopen store");
-        let kernel = Kernel::with_stable_store(KernelConfig::default(), store);
+        let kernel = Kernel::builder().stable_store(store).build();
         register_all(&kernel);
         let batch = transfer(&kernel, filter, 10);
         assert_eq!(batch.items.len(), 2);

@@ -10,7 +10,7 @@ use eden::fs::{
     add_entry, lookup, register_fs_types, DirConcatenatorEject, DirectoryEject, FileEject, MemFs,
     UnixFsEject,
 };
-use eden::kernel::{Kernel, KernelConfig, StableStore};
+use eden::kernel::{Kernel, StableStore};
 use eden::transput::collector::Collector;
 use eden::transput::read_only::{FanInMode, InputPort, PullFilterConfig, PullFilterEject};
 use eden::transput::sink::SinkEject;
@@ -190,7 +190,7 @@ fn crash_mid_pipeline_is_reported_not_hung() {
 fn whole_system_restart_preserves_filing_tree() {
     let store = StableStore::new();
     let (root, file) = {
-        let kernel = Kernel::with_stable_store(KernelConfig::default(), store.clone());
+        let kernel = Kernel::builder().stable_store(store.clone()).build();
         register_fs_types(&kernel);
         let root = kernel.spawn(Box::new(DirectoryEject::new())).unwrap();
         let file = kernel
@@ -203,7 +203,7 @@ fn whole_system_restart_preserves_filing_tree() {
         (root, file)
     };
     // "Reboot": fresh kernel, same stable store, re-register types.
-    let kernel = Kernel::with_stable_store(KernelConfig::default(), store);
+    let kernel = Kernel::builder().stable_store(store).build();
     register_fs_types(&kernel);
     assert_eq!(lookup(&kernel, root, "truth.txt").unwrap(), file);
     let reader = kernel

@@ -15,8 +15,7 @@ use eden::core::{EdenError, Uid, Value};
 use eden::filters::{DurableFilterEject, FilterSpec};
 use eden::fs::{register_fs_types, FileEject};
 use eden::kernel::{
-    EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, KernelConfig, ReplyHandle,
-    RouteCache,
+    EjectBehavior, EjectContext, Invocation, InvokeOptions, Kernel, ReplyHandle, RouteCache,
 };
 use eden::transput::protocol::{Batch, TransferRequest};
 use eden::transput::{Discipline, PipelineSpec};
@@ -194,10 +193,7 @@ fn bounded_mailboxes_deliver_everything_and_shut_down_cleanly() {
     // (backpressure), but every invocation is eventually served and the
     // kernel still tears down without deadlock.
     let served = Arc::new(AtomicUsize::new(0));
-    let kernel = Kernel::with_config(KernelConfig {
-        mailbox_capacity: Some(2),
-        ..KernelConfig::default()
-    });
+    let kernel = Kernel::builder().mailbox_capacity(2).build();
     let slow = kernel
         .spawn(Box::new(SlowEcho {
             served: served.clone(),
@@ -232,10 +228,7 @@ fn injected_latency_is_paid_outside_registry_locks() {
     const LATENCY: Duration = Duration::from_millis(25);
     const THREADS: usize = 8;
     const CALLS: usize = 2;
-    let kernel = Kernel::with_config(KernelConfig {
-        invocation_latency: Some(LATENCY),
-        ..KernelConfig::default()
-    });
+    let kernel = Kernel::builder().invocation_latency(LATENCY).build();
     let targets: Vec<Uid> = (0..THREADS)
         .map(|_| kernel.spawn(Box::new(Echo)).unwrap())
         .collect();
@@ -271,10 +264,7 @@ fn single_shard_registry_reproduces_default_behaviour() {
     // `registry_shards: 1` is the honest pre-sharding baseline for the
     // contention benchmark; it must be behaviourally identical.
     let run = |shards: usize| {
-        let kernel = Kernel::with_config(KernelConfig {
-            registry_shards: shards,
-            ..KernelConfig::default()
-        });
+        let kernel = Kernel::builder().registry_shards(shards).build();
         let run = PipelineSpec::new(Discipline::ReadOnly { read_ahead: 4 })
             .source_vec((0..40).map(Value::Int).collect())
             .batch(3)

@@ -13,7 +13,7 @@ use std::time::Duration;
 use eden::core::{EdenError, Value};
 use eden::kernel::{
     EjectBehavior, EjectContext, FaultKind, FaultPlan, FaultRule, Invocation, InvokeOptions,
-    Kernel, KernelConfig, ObsConfig, ReplyHandle, RetryPolicy,
+    Kernel, ObsConfig, ReplyHandle, RetryPolicy,
 };
 use eden::transput::recovery::{
     install_recovery, run_recoverable_pipeline, RecoveryDiscipline, TransformRegistry,
@@ -752,10 +752,7 @@ fn recovery_keeps_the_crashed_stream_in_one_trace() {
     // dies, the retries that bring the stage back, and the replayed stream
     // all carry the run's trace id — one causal tree, not a new trace per
     // recovery.
-    let kernel = Kernel::with_config(KernelConfig {
-        observability: ObsConfig::full(),
-        ..KernelConfig::default()
-    });
+    let kernel = Kernel::builder().observability(ObsConfig::full()).build();
     let reg = registry();
     install_recovery(&kernel, &reg);
     kernel.install_faults(FaultPlan::new(0xcafe).rule(

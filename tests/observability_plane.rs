@@ -13,17 +13,12 @@ use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use eden::core::Value;
-use eden::kernel::{
-    chrome_trace_json, json_text, prometheus_text, Kernel, KernelConfig, ObsConfig, SpanRecord,
-};
+use eden::kernel::{chrome_trace_json, json_text, prometheus_text, Kernel, ObsConfig, SpanRecord};
 use eden::transput::transform::Identity;
 use eden::transput::{Discipline, PipelineRun, PipelineSpec};
 
 fn obs_kernel() -> Kernel {
-    Kernel::with_config(KernelConfig {
-        observability: ObsConfig::full(),
-        ..KernelConfig::default()
-    })
+    Kernel::builder().observability(ObsConfig::full()).build()
 }
 
 /// A depth-`depth` identity pipeline at batch 1 — the configuration in

@@ -2,8 +2,9 @@
 //! scheduler must be invisible to correctness. Ten thousand Ejects on a
 //! two-worker pool see every invocation exactly once; a parked idle
 //! population stays responsive while a pipeline hammers the same pool;
-//! and the `threads` fallback mode produces byte-identical pipeline
-//! output, so differential runs can always arbitrate a scheduler bug.
+//! and pipeline output on one- and two-worker pools is byte-identical to
+//! the kernel-free offline oracle, so a scheduler bug cannot hide behind
+//! a second kernel sharing it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -18,7 +19,7 @@ use eden::kernel::{
     EjectBehavior, EjectContext, Invocation, Kernel, ReplyHandle, SchedulerConfig,
 };
 use eden::transput::protocol::{Batch, TransferRequest};
-use eden::transput::transform::Transform;
+use eden::transput::transform::{apply_chain_offline, Transform};
 use eden::transput::{ChannelPolicy, Discipline, PipelineSpec};
 
 /// A deliberately starved pool: every test here runs its whole cast on
@@ -302,17 +303,23 @@ fn idle_streams_stay_responsive_under_hot_pipeline_eight_workers() {
     idle_p99_bounded_under_hot_pipeline(8);
 }
 
-fn pipeline_output(kernel: &Kernel, discipline: Discipline) -> Vec<Value> {
-    let input: Vec<Value> = (0..200).map(|i| Value::str(format!("line {i}"))).collect();
-    let mut builder = PipelineSpec::new(discipline)
-        .source_vec(input)
-        .batch(4)
-        .policy(ChannelPolicy::Integer);
-    let stages: [Box<dyn Transform>; 2] = [
+fn oracle_input() -> Vec<Value> {
+    (0..200).map(|i| Value::str(format!("line {i}"))).collect()
+}
+
+fn oracle_chain() -> Vec<Box<dyn Transform>> {
+    vec![
         Box::new(filters::CaseFold::upper()),
         Box::new(filters::LineNumber::new()),
-    ];
-    for stage in stages {
+    ]
+}
+
+fn pipeline_output(kernel: &Kernel, discipline: Discipline) -> Vec<Value> {
+    let mut builder = PipelineSpec::new(discipline)
+        .source_vec(oracle_input())
+        .batch(4)
+        .policy(ChannelPolicy::Integer);
+    for stage in oracle_chain() {
         builder = builder.stage(stage);
     }
     builder
@@ -323,31 +330,37 @@ fn pipeline_output(kernel: &Kernel, discipline: Discipline) -> Vec<Value> {
         .output
 }
 
-/// Differential arbitration: the `threads` fallback and the scheduler
-/// produce byte-identical primary streams across all three disciplines.
+/// Arbitration by a pure oracle: on a two-worker and a one-worker pool,
+/// every discipline's primary stream equals — and renders byte-identical
+/// to — the same `CaseFold::upper → LineNumber` chain applied offline,
+/// with no kernel involved.
 #[test]
-fn threads_and_scheduler_modes_produce_identical_output() {
-    for discipline in [
-        Discipline::ReadOnly { read_ahead: 8 },
-        Discipline::WriteOnly { push_ahead: 8 },
-        Discipline::Conventional { buffer_capacity: 16 },
-    ] {
-        let threads_kernel = Kernel::builder().threads_mode().build();
-        let threads_out = pipeline_output(&threads_kernel, discipline);
-        threads_kernel.shutdown();
-
-        let sched_kernel = two_worker_kernel();
-        let sched_out = pipeline_output(&sched_kernel, discipline);
-        sched_kernel.shutdown();
-
-        assert_eq!(
-            threads_out, sched_out,
-            "{discipline:?}: scheduler output diverged from threads mode"
-        );
-        assert_eq!(
-            format!("{threads_out:?}"),
-            format!("{sched_out:?}"),
-            "{discipline:?}: rendered bytes diverged"
-        );
+fn scheduler_output_matches_offline_oracle() {
+    let expected = apply_chain_offline(&mut oracle_chain(), oracle_input());
+    assert_eq!(expected.len(), 200, "the oracle must see every line");
+    for workers in [2, 1] {
+        for discipline in [
+            Discipline::ReadOnly { read_ahead: 8 },
+            Discipline::WriteOnly { push_ahead: 8 },
+            Discipline::Conventional { buffer_capacity: 16 },
+        ] {
+            let kernel = Kernel::builder()
+                .scheduler(SchedulerConfig {
+                    workers,
+                    ..SchedulerConfig::default()
+                })
+                .build();
+            let out = pipeline_output(&kernel, discipline);
+            kernel.shutdown();
+            assert_eq!(
+                out, expected,
+                "{discipline:?} on {workers} worker(s): output diverged from the oracle"
+            );
+            assert_eq!(
+                format!("{out:?}"),
+                format!("{expected:?}"),
+                "{discipline:?} on {workers} worker(s): rendered bytes diverged"
+            );
+        }
     }
 }
