@@ -19,7 +19,7 @@
 //! # The invocation plane
 //!
 //! Routing is split into a **resolve** step (find or reactivate the target,
-//! under a registry lock) and a **dispatch** step (meter, trace, inject
+//! under a registry lock) and a **dispatch** step (meter, inject
 //! latency, send — with *no* lock held, so injected latency on one
 //! invocation can never serialise unrelated senders). The registry itself
 //! is sharded by UID: concurrent pipelines resolving different targets take
@@ -44,14 +44,14 @@ use crate::fault::{FaultInjector, FaultKind, FaultPlan};
 use crate::invocation::{reply_pair, Invocation, PendingReply, ReplyHandle};
 use crate::mailbox::{mailbox, MailboxSender, SendError, SendOutcome, ShedCause, ShedPolicy};
 use crate::obs::{
-    KernelSnapshot, MailboxSnapshot, ObsConfig, ObsPlane, ObsTag, SpanRecord, StageSummary,
+    KernelEvent, KernelSnapshot, MailboxSnapshot, ObsConfig, ObsPlane, ObsTag, SpanRecord,
+    StageSummary,
 };
 use crate::options::{InvokeOptions, RetryState};
 use crate::routes::{Route, RouteCache};
 use crate::runtime::Envelope;
 use crate::sched::{Scheduler, SchedulerConfig, Task};
 use crate::stable::StableStore;
-use crate::trace::TraceDump;
 
 /// A simulated machine. Ejects placed on different nodes pay the remote
 /// invocation surcharge in the cost model (and optional injected latency).
@@ -67,7 +67,6 @@ pub const DEFAULT_REGISTRY_SHARDS: usize = 16;
 struct KernelConfig {
     remote_latency: Option<Duration>,
     invocation_latency: Option<Duration>,
-    trace_capacity: usize,
     registry_shards: usize,
     mailbox_capacity: Option<usize>,
     shed_policy: ShedPolicy,
@@ -80,7 +79,6 @@ impl Default for KernelConfig {
         KernelConfig {
             remote_latency: None,
             invocation_latency: None,
-            trace_capacity: 0,
             registry_shards: DEFAULT_REGISTRY_SHARDS,
             mailbox_capacity: None,
             shed_policy: ShedPolicy::default(),
@@ -94,11 +92,11 @@ impl Default for KernelConfig {
 /// `Kernel::builder().build()`.
 ///
 /// ```no_run
-/// use eden_kernel::{Kernel, SchedulerConfig};
+/// use eden_kernel::{Kernel, ObsConfig, SchedulerConfig};
 ///
 /// let kernel = Kernel::builder()
 ///     .scheduler(SchedulerConfig { workers: 4, ..SchedulerConfig::default() })
-///     .trace_capacity(256)
+///     .observability(ObsConfig::full())
 ///     .build();
 /// ```
 #[derive(Debug, Default)]
@@ -124,14 +122,6 @@ impl KernelBuilder {
     /// Real latency added to every invocation, local or remote.
     pub fn invocation_latency(mut self, latency: Duration) -> Self {
         self.config.invocation_latency = Some(latency);
-        self
-    }
-
-    /// Keep a ring of the last `capacity` kernel events (invocations,
-    /// activations, stops) readable via [`Kernel::trace_events`]. 0 (the
-    /// default) disables tracing.
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.config.trace_capacity = capacity;
         self
     }
 
@@ -166,9 +156,10 @@ impl KernelBuilder {
         self
     }
 
-    /// The observability plane: causal spans and per-stage latency
-    /// histograms (see [`ObsConfig`]). Off by default — a disabled kernel
-    /// carries no instrumentation state at all.
+    /// The observability plane: causal spans with the kernel's
+    /// activate/stop events beside them, and per-stage latency histograms
+    /// (see [`ObsConfig`]). Off by default — a disabled kernel carries no
+    /// instrumentation state at all.
     pub fn observability(mut self, obs: ObsConfig) -> Self {
         self.config.observability = obs;
         self
@@ -183,19 +174,6 @@ impl KernelBuilder {
         self
     }
 
-    /// Checkpoint into a log-structured durable store rooted at `path`
-    /// on the real filing system (created if missing), with the given
-    /// fsync policy. Existing segments are replayed first, so building
-    /// the kernel after a cold restart resurrects every passive Eject.
-    pub fn durable_store(
-        mut self,
-        path: impl Into<std::path::PathBuf>,
-        fsync: crate::stable::FsyncPolicy,
-    ) -> Result<Self> {
-        self.stable = Some(StableStore::durable(path, fsync)?);
-        Ok(self)
-    }
-
     /// Build the kernel, registering every passive Eject the stable store
     /// already holds.
     pub fn build(self) -> Kernel {
@@ -203,8 +181,6 @@ impl KernelBuilder {
         let stable = stable.unwrap_or_default();
         let shard_count = config.registry_shards.max(1).next_power_of_two();
         let shards: Box<[Shard]> = (0..shard_count).map(|_| Shard::default()).collect();
-        let trace = (config.trace_capacity > 0)
-            .then(|| crate::trace::TraceLog::new(config.trace_capacity));
         let obs = config
             .observability
             .enabled()
@@ -217,7 +193,6 @@ impl KernelBuilder {
             metrics: Metrics::new(),
             sched: Scheduler::new(config.sched),
             config,
-            trace,
             obs,
             faults: FaultInjector::default(),
             shutting_down: AtomicBool::new(false),
@@ -314,7 +289,6 @@ pub(crate) struct KernelInner {
     stable: StableStore,
     metrics: Metrics,
     config: KernelConfig,
-    trace: Option<crate::trace::TraceLog>,
     obs: Option<Arc<ObsPlane>>,
     faults: FaultInjector,
     /// The worker pool that resumes every active Eject.
@@ -431,25 +405,6 @@ impl Kernel {
         &self.inner.metrics
     }
 
-    /// The traced kernel events, oldest first, with the count of events the
-    /// bounded ring has evicted (empty unless
-    /// [`KernelBuilder::trace_capacity`] was set). The dump derefs to
-    /// `[TraceEvent]`, so iteration and indexing work directly on it.
-    pub fn trace_events(&self) -> TraceDump {
-        self.inner
-            .trace
-            .as_ref()
-            .map(|t| t.events())
-            .unwrap_or_default()
-    }
-
-    /// Events evicted from the trace ring since the kernel started (0 when
-    /// tracing is disabled). Monotonic — it never resets while the kernel
-    /// lives, so two reads bound how much history was lost between them.
-    pub fn trace_dropped(&self) -> u64 {
-        self.inner.trace.as_ref().map(|t| t.dropped()).unwrap_or(0)
-    }
-
     /// True if the kernel was built with causal span recording on.
     pub fn spans_enabled(&self) -> bool {
         self.inner
@@ -468,12 +423,22 @@ impl Kernel {
             .unwrap_or_default()
     }
 
+    /// The kernel's activate/stop events, oldest first, held in the span
+    /// store beside the spans (empty unless [`ObsConfig::spans`] was set).
+    pub fn kernel_events(&self) -> Vec<KernelEvent> {
+        self.inner
+            .obs
+            .as_ref()
+            .map(|obs| obs.events())
+            .unwrap_or_default()
+    }
+
     /// Spans evicted from the bounded span store since the kernel started.
     pub fn spans_dropped(&self) -> u64 {
         self.inner
             .obs
             .as_ref()
-            .map(|obs| obs.spans_dropped())
+            .map(|obs| obs.ring_counts().1)
             .unwrap_or(0)
     }
 
@@ -489,20 +454,22 @@ impl Kernel {
 
     /// Everything the kernel can report, in one consistent-enough snapshot:
     /// control-plane counters, the process-wide payload and stream planes,
-    /// per-stage latency summaries, and trace/span bookkeeping. This is the
+    /// per-stage latency summaries, and span-store bookkeeping. This is the
     /// source for the Prometheus and JSON export surfaces (see
     /// [`prometheus_text`](crate::prometheus_text) and
     /// [`json_text`](crate::json_text)).
     pub fn metrics_snapshot(&self) -> KernelSnapshot {
         let obs = self.inner.obs.as_ref();
+        let (spans_recorded, spans_dropped, trace_dropped) =
+            obs.map(|o| o.ring_counts()).unwrap_or_default();
         KernelSnapshot {
             metrics: self.inner.metrics.snapshot(),
             payload: eden_core::payload::snapshot(),
             stream: eden_core::stream::snapshot(),
             stages: obs.map(|o| o.stage_summaries()).unwrap_or_default(),
-            trace_dropped: self.trace_dropped(),
-            spans_recorded: obs.map(|o| o.span_count()).unwrap_or(0),
-            spans_dropped: obs.map(|o| o.spans_dropped()).unwrap_or(0),
+            trace_dropped,
+            spans_recorded,
+            spans_dropped,
             sched: self.inner.sched.snapshot(),
             stable: self.inner.stable.stats(),
             mailbox: self.mailbox_snapshot(),
@@ -532,16 +499,6 @@ impl Kernel {
     /// The entry point to [`KernelBuilder`].
     pub fn builder() -> KernelBuilder {
         KernelBuilder::default()
-    }
-
-    /// Invocation tallies per target Eject, busiest first (empty unless
-    /// tracing is enabled).
-    pub fn invocations_by_target(&self) -> Vec<(Uid, u64)> {
-        self.inner
-            .trace
-            .as_ref()
-            .map(|t| t.per_target())
-            .unwrap_or_default()
     }
 
     /// The stable store backing this kernel.
@@ -853,9 +810,6 @@ impl Kernel {
             }
         }
         if let Some(route) = cache.lookup(target) {
-            if let Some(trace) = &self.inner.trace {
-                trace.record_invoke(target, &op, from, route.node);
-            }
             if route.node != from {
                 metrics.record_remote_invocation();
                 if let Some(latency) = self.inner.config.remote_latency {
@@ -1009,7 +963,7 @@ impl Kernel {
         }
     }
 
-    /// Deliver a resolved invocation: trace, inject latency, send. (The
+    /// Deliver a resolved invocation: meter, inject latency, send. (The
     /// ledger entry was opened by the caller — once per logical
     /// invocation, not per delivery attempt.) Runs with no kernel lock
     /// held — the route owns clones of everything it needs — so injected
@@ -1023,9 +977,6 @@ impl Kernel {
         handle: ReplyHandle,
     ) {
         let metrics = &self.inner.metrics;
-        if let Some(trace) = &self.inner.trace {
-            trace.record_invoke(route.target, &invocation.op, from, route.node);
-        }
         if route.node != from {
             metrics.record_remote_invocation();
             if let Some(latency) = self.inner.config.remote_latency {
@@ -1144,8 +1095,13 @@ impl Kernel {
     /// Called by a coordinator as its last act. Decides the Eject's fate:
     /// passive if it ever checkpointed, gone otherwise.
     pub(crate) fn on_eject_exit(&self, uid: Uid, incarnation: u64, crashed: bool) {
-        if let Some(trace) = &self.inner.trace {
-            trace.record_stop(uid, crashed);
+        if let Some(obs) = &self.inner.obs {
+            obs.record_event(|at_ns, ambient| KernelEvent::Stop {
+                at_ns,
+                ambient,
+                uid,
+                crashed,
+            });
         }
         if self.inner.shutting_down.load(Ordering::Acquire) {
             return;
@@ -1236,8 +1192,14 @@ impl Kernel {
             workers: Mutex::new(Vec::new()),
         });
         self.inner.metrics.record_activation();
-        if let Some(trace) = &self.inner.trace {
-            trace.record_activate(uid, type_name);
+        if let Some(obs) = &self.inner.obs {
+            obs.record_event(|at_ns, ambient| KernelEvent::Activate {
+                at_ns,
+                ambient,
+                uid,
+                type_name,
+                incarnation,
+            });
         }
         let weak = self.downgrade();
         // The coordinator inherits the spawner's ambient span: an Eject

@@ -11,10 +11,14 @@
 //! correctly even for deferred replies (the paper's passive output: a parked
 //! `ReplyHandle` is *still being serviced*).
 //!
-//! The store is sharded by target UID and merged on snapshot, keeping the
-//! hot path to one short mutex acquisition per completed invocation; with
-//! the plane disabled (the default) the kernel carries no tag at all and the
-//! cost is one `Option` check per invocation.
+//! The same store keeps the kernel's own decisions — activations and
+//! stops, crashes included — as [`KernelEvent`]s in the span ring, so one
+//! bounded log holds both what was invoked and what the kernel did about it.
+//!
+//! The store is sharded by recording thread and merged on snapshot, keeping
+//! the hot path to one short mutex acquisition per completed invocation;
+//! with the plane disabled (the default) the kernel carries no tag at all
+//! and the cost is one `Option` check per invocation.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,12 +36,15 @@ use crate::sched::SchedSnapshot;
 /// [`KernelBuilder::observability`](crate::KernelBuilder::observability).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Record a causal span per delivered invocation.
+    /// Record a causal span per delivered invocation, and the kernel's
+    /// activate/stop events beside them.
     pub spans: bool,
     /// Record per-(Eject, op) queue-wait and service-time histograms.
     pub histograms: bool,
-    /// Ring capacity of the span store (oldest spans are dropped beyond
-    /// this, counted in [`Kernel::spans_dropped`](crate::Kernel)).
+    /// Capacity of the span store's ring, shared by invocation spans and
+    /// kernel events across every shard. The oldest entries are dropped
+    /// beyond this, counted in [`Kernel::spans_dropped`](crate::Kernel)
+    /// and [`KernelSnapshot::trace_dropped`].
     pub span_capacity: usize,
 }
 
@@ -111,6 +118,64 @@ pub struct SpanRecord {
     pub service_ns: u64,
     /// Whether the reply was `Ok`.
     pub ok: bool,
+}
+
+/// A kernel decision kept in the span store beside the invocation spans:
+/// an Eject's activation or its stop. `ambient` is the span current on the
+/// deciding thread, if any — for a reactivation, the invocation whose
+/// delivery woke the Eject — so its trace is the event's trace and its span
+/// the event's parent.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KernelEvent {
+    /// An Eject was spawned (`incarnation` 1) or reactivated from its
+    /// passive representation.
+    Activate {
+        /// Nanoseconds since the kernel's observability epoch.
+        at_ns: u64,
+        /// The span ambient when the kernel acted.
+        ambient: Option<SpanContext>,
+        /// The Eject.
+        uid: Uid,
+        /// Its Eden type name.
+        type_name: &'static str,
+        /// Activations of this UID so far, this one included.
+        incarnation: u64,
+    },
+    /// An Eject stopped: deactivation, crash, or shutdown.
+    Stop {
+        /// Nanoseconds since the kernel's observability epoch.
+        at_ns: u64,
+        /// The span ambient when the kernel acted.
+        ambient: Option<SpanContext>,
+        /// The Eject.
+        uid: Uid,
+        /// True if it stopped by a fail-stop crash.
+        crashed: bool,
+    },
+}
+
+impl KernelEvent {
+    /// When the event happened, on the span clock.
+    pub fn at_ns(&self) -> u64 {
+        match self {
+            KernelEvent::Activate { at_ns, .. } | KernelEvent::Stop { at_ns, .. } => *at_ns,
+        }
+    }
+}
+
+impl std::fmt::Display for KernelEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KernelEvent::Activate { uid, type_name, incarnation: 1, .. } => {
+                write!(f, "activate {uid} ({type_name})")
+            }
+            KernelEvent::Activate { uid, type_name, incarnation, .. } => {
+                write!(f, "reactivate {uid} ({type_name}, incarnation {incarnation})")
+            }
+            KernelEvent::Stop { uid, crashed: true, .. } => write!(f, "stop {uid} (crashed)"),
+            KernelEvent::Stop { uid, .. } => write!(f, "stop {uid}"),
+        }
+    }
 }
 
 /// A fixed-layout log2 histogram of nanosecond durations. Bucket `b` holds
@@ -219,8 +284,22 @@ struct StageSlot {
     service: Histogram,
 }
 
+/// What one ring slot holds: a completed invocation span or a kernel event.
+enum Recorded {
+    Span(SpanRecord),
+    Event(KernelEvent),
+}
+
+#[derive(Default)]
 struct ObsShard {
-    spans: VecDeque<SpanRecord>,
+    /// `(sequence number, entry)`, oldest first. Numbers are drawn under
+    /// this shard's lock, so they increase front to back even when threads
+    /// share the shard.
+    ring: VecDeque<(u64, Recorded)>,
+    /// Span entries currently in `ring` (the rest are kernel events).
+    spans_held: u64,
+    spans_dropped: u64,
+    events_dropped: u64,
     stages: Vec<StageSlot>,
 }
 
@@ -245,32 +324,56 @@ impl ObsShard {
         };
         &mut self.stages[idx]
     }
+
+    /// Evict every entry whose sequence number falls below `floor`,
+    /// counting each under its kind.
+    fn evict_below(&mut self, floor: u64) {
+        while self.ring.front().is_some_and(|(seq, _)| *seq < floor) {
+            match self.ring.pop_front() {
+                Some((_, Recorded::Span(_))) => {
+                    self.spans_held -= 1;
+                    self.spans_dropped += 1;
+                }
+                Some((_, Recorded::Event(_))) => self.events_dropped += 1,
+                None => break,
+            }
+        }
+    }
 }
 
-/// The sharded span + histogram store. One per kernel, present only when
-/// [`ObsConfig::enabled`] — a disabled kernel pays a single pointer check.
+/// The sharded store of spans, kernel events and stage histograms. One per
+/// kernel, present only when [`ObsConfig::enabled`] — a disabled kernel
+/// pays a single pointer check. Every ring entry draws a plane-wide
+/// sequence number and the store keeps the latest `span_capacity` of them:
+/// a push evicts what fell out of that window from its own shard, and a
+/// read first evicts it from every shard, so counts are exact however the
+/// entries scattered.
 pub(crate) struct ObsPlane {
     config: ObsConfig,
     epoch: Instant,
     shards: Box<[Mutex<ObsShard>]>,
-    shard_capacity: usize,
-    dropped: AtomicU64,
+    capacity: u64,
+    /// The next entry's sequence number. Drawn under the pushing shard's
+    /// lock, which publishes the entry itself, so `Relaxed` suffices.
+    seq: AtomicU64,
 }
 
 const OBS_SHARDS: usize = 16;
 
 impl ObsPlane {
     pub(crate) fn new(config: ObsConfig) -> ObsPlane {
-        let shard_capacity = (config.span_capacity / OBS_SHARDS).max(1);
+        let capacity = config.span_capacity.max(1);
+        // Reserve an even share of the ring per shard up front: growing a
+        // VecDeque under the shard lock copies every record it already
+        // holds, roughly doubling the hot path's memory traffic. The
+        // reservation is virtual memory until touched; a busier shard grows
+        // past it once.
+        let reserve = if config.spans { (capacity / OBS_SHARDS).max(1) } else { 0 };
         let shards = (0..OBS_SHARDS)
             .map(|_| {
                 Mutex::new(ObsShard {
-                    // Reserve the ring up front: growing a VecDeque under
-                    // the shard lock copies every record it already holds,
-                    // roughly doubling the hot path's memory traffic. The
-                    // reservation is virtual memory until touched.
-                    spans: VecDeque::with_capacity(if config.spans { shard_capacity } else { 0 }),
-                    stages: Vec::new(),
+                    ring: VecDeque::with_capacity(reserve),
+                    ..ObsShard::default()
                 })
             })
             .collect();
@@ -278,8 +381,8 @@ impl ObsPlane {
             config,
             epoch: Instant::now(),
             shards,
-            shard_capacity,
-            dropped: AtomicU64::new(0),
+            capacity: capacity as u64,
+            seq: AtomicU64::new(0),
         }
     }
 
@@ -311,6 +414,19 @@ impl ObsPlane {
         &self.shards[idx as usize % OBS_SHARDS]
     }
 
+    /// Append to `shard`'s ring (whose lock the caller holds), evicting
+    /// whatever the new entry pushes out of the plane-wide window.
+    fn push(&self, shard: &mut ObsShard, item: Recorded) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        shard.evict_below((seq + 1).saturating_sub(self.capacity));
+        shard.spans_held += u64::from(matches!(item, Recorded::Span(_)));
+        shard.ring.push_back((seq, item));
+    }
+
+    fn now_ns(&self) -> u64 {
+        Instant::now().saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
     /// Record one completed invocation. Called from whichever thread
     /// resolved the reply; one sharded lock, no allocation beyond the ring
     /// slot.
@@ -332,11 +448,7 @@ impl ObsPlane {
             slot.service.record(service_ns);
         }
         if self.config.spans {
-            if shard.spans.len() == self.shard_capacity {
-                shard.spans.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            shard.spans.push_back(SpanRecord {
+            let span = SpanRecord {
                 trace: tag.ctx.trace,
                 span: tag.ctx.span,
                 parent: tag.ctx.parent,
@@ -350,7 +462,8 @@ impl ObsPlane {
                 sched_ns,
                 service_ns,
                 ok,
-            });
+            };
+            self.push(&mut shard, Recorded::Span(span));
         }
     }
 
@@ -369,13 +482,7 @@ impl ObsPlane {
         if !self.config.spans {
             return;
         }
-        let start_ns = Instant::now().saturating_duration_since(self.epoch).as_nanos() as u64;
-        let mut shard = self.shard_of_thread().lock();
-        if shard.spans.len() == self.shard_capacity {
-            shard.spans.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.spans.push_back(SpanRecord {
+        let span = SpanRecord {
             trace: ctx.trace,
             span: ctx.span,
             parent: ctx.parent,
@@ -385,35 +492,75 @@ impl ObsPlane {
             // The route never resolved; the span dies where it was sent.
             from,
             to: from,
-            start_ns,
+            start_ns: self.now_ns(),
             queue_ns: 0,
             sched_ns: 0,
             service_ns: 0,
             ok: false,
-        });
+        };
+        let mut shard = self.shard_of_thread().lock();
+        self.push(&mut shard, Recorded::Span(span));
     }
 
-    /// All recorded spans, merged across shards, ordered by start time.
-    pub(crate) fn spans(&self) -> Vec<SpanRecord> {
-        let mut all: Vec<SpanRecord> = Vec::new();
-        for shard in self.shards.iter() {
-            all.extend(shard.lock().spans.iter().cloned());
+    /// Record a kernel event in the span ring (only while spans are on).
+    /// `make` receives the span-clock stamp and the ambient span.
+    pub(crate) fn record_event(&self, make: impl FnOnce(u64, Option<SpanContext>) -> KernelEvent) {
+        if self.config.spans {
+            let event = make(self.now_ns(), eden_core::span::current());
+            let mut shard = self.shard_of_thread().lock();
+            self.push(&mut shard, Recorded::Event(event));
         }
+    }
+
+    /// Visit every shard under its lock, after evicting what has fallen
+    /// out of the window.
+    fn for_each_shard(&self, mut visit: impl FnMut(&ObsShard)) {
+        let floor = self.seq.load(Ordering::Relaxed).saturating_sub(self.capacity);
+        for shard in self.shards.iter() {
+            let mut shard = shard.lock();
+            shard.evict_below(floor);
+            visit(&shard);
+        }
+    }
+
+    /// The ring entries `pick` selects, merged across shards, unsorted.
+    fn collect<T: Clone>(&self, pick: impl Fn(&Recorded) -> Option<&T>) -> Vec<T> {
+        let mut all = Vec::new();
+        self.for_each_shard(|shard| {
+            all.extend(shard.ring.iter().filter_map(|(_, e)| pick(e)).cloned())
+        });
+        all
+    }
+
+    /// All recorded spans, ordered by start time.
+    pub(crate) fn spans(&self) -> Vec<SpanRecord> {
+        let mut all = self.collect(|e| match e {
+            Recorded::Span(span) => Some(span),
+            Recorded::Event(_) => None,
+        });
         all.sort_by_key(|s| (s.start_ns, s.span));
         all
     }
 
-    /// Spans evicted from the ring since the kernel started.
-    pub(crate) fn spans_dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+    /// All recorded kernel events, oldest first.
+    pub(crate) fn events(&self) -> Vec<KernelEvent> {
+        let mut all = self.collect(|e| match e {
+            Recorded::Event(event) => Some(event),
+            Recorded::Span(_) => None,
+        });
+        all.sort_by_key(KernelEvent::at_ns);
+        all
     }
 
-    /// Spans currently held across all shards.
-    pub(crate) fn span_count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().spans.len() as u64)
-            .sum()
+    /// Spans held, spans evicted and kernel events evicted, in that order.
+    pub(crate) fn ring_counts(&self) -> (u64, u64, u64) {
+        let (mut held, mut spans_dropped, mut events_dropped) = (0, 0, 0);
+        self.for_each_shard(|shard| {
+            held += shard.spans_held;
+            spans_dropped += shard.spans_dropped;
+            events_dropped += shard.events_dropped;
+        });
+        (held, spans_dropped, events_dropped)
     }
 
     /// Per-stage latency summaries, busiest first.
@@ -456,7 +603,7 @@ impl std::fmt::Debug for ObsPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObsPlane")
             .field("config", &self.config)
-            .field("dropped", &self.dropped.load(Ordering::Relaxed))
+            .field("recorded", &self.seq.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -518,7 +665,7 @@ pub struct MailboxSnapshot {
 
 /// A point-in-time view of everything the kernel can report: control-plane
 /// counters, the process-wide payload and stream planes, per-stage latency
-/// summaries, and the trace/span bookkeeping. Produced by
+/// summaries, and the span store's bookkeeping. Produced by
 /// [`Kernel::metrics_snapshot`](crate::Kernel::metrics_snapshot); rendered
 /// by [`prometheus_text`] and [`json_text`].
 #[derive(Debug, Clone)]
@@ -531,7 +678,7 @@ pub struct KernelSnapshot {
     pub stream: StreamSnapshot,
     /// Per-(Eject, op) latency summaries (empty unless histograms are on).
     pub stages: Vec<StageSummary>,
-    /// Events evicted from the kernel trace ring.
+    /// Kernel events evicted from the span store.
     pub trace_dropped: u64,
     /// Spans currently held in the span store.
     pub spans_recorded: u64,
@@ -600,7 +747,7 @@ fn counter_rows(snap: &KernelSnapshot) -> Vec<(&'static str, &'static str, u64)>
         ("eden_payload_shares_total", "Reference-bump shares", p.payload_shares),
         ("eden_stream_records_emitted_total", "Records that entered the stream fabric", snap.stream.records_emitted),
         ("eden_stream_records_collected_total", "Records that reached a sink collector", snap.stream.records_collected),
-        ("eden_trace_events_dropped_total", "Events evicted from the kernel trace ring", snap.trace_dropped),
+        ("eden_trace_events_dropped_total", "Kernel events evicted from the span store", snap.trace_dropped),
         ("eden_spans_dropped_total", "Spans evicted from the span store", snap.spans_dropped),
         ("eden_sched_steals_total", "Tasks stolen from another worker's run-queue shard", snap.sched.sched_steals),
         ("eden_stable_compactions_total", "Completed stable-log compaction passes", snap.stable.compactions),
@@ -845,7 +992,7 @@ mod tests {
         let plane = ObsPlane::new(ObsConfig {
             spans: true,
             histograms: false,
-            span_capacity: OBS_SHARDS, // one slot per shard
+            span_capacity: 1,
         });
         let uid = Uid::fresh();
         for _ in 0..3 {
@@ -859,9 +1006,9 @@ mod tests {
             );
             plane.complete(&tag, true);
         }
-        // All three landed in the same shard (same uid) with capacity 1.
+        // Capacity 1: only the last of the three survives.
         assert_eq!(plane.spans().len(), 1);
-        assert_eq!(plane.spans_dropped(), 2);
+        assert_eq!(plane.ring_counts().1, 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The log-structured durable backend.
 //!
 //! [`DurableLog`] keeps every live passive representation in an in-memory
-//! index (load/contains are lock-and-look, same as [`MemBacked`]) and
+//! index (load/contains are lock-and-look, same as the in-memory backend) and
 //! makes each mutation durable by appending a CRC-framed record to the
 //! active segment before the index is updated — checkpoint-before-reply
 //! extends all the way to the filing system. Concurrent `store()` calls
@@ -14,7 +14,6 @@
 //! All I/O goes through [`HostFs`], so tests and loom models run the
 //! identical code path over `MemFs` that production runs over `RealFs`.
 //!
-//! [`MemBacked`]: super::MemBacked
 //! [`HostFs`]: eden_core::HostFs
 
 use std::collections::{BTreeMap, HashMap};
@@ -476,10 +475,12 @@ mod tests {
     /// A crash-faithful filing system: delegates to a [`MemFs`], but
     /// remembers each file's length at its last `sync`. `crash_view()`
     /// returns what a machine that lost power *now* would see on reboot —
-    /// every file truncated back to its synced prefix.
+    /// every file truncated back to its synced prefix. While `failing` is
+    /// set, appends fail as if the disk had gone away.
     struct SyncTrackingFs {
         inner: HostFsHandle,
         synced: Mutex<std::collections::HashMap<String, usize>>,
+        failing: std::sync::atomic::AtomicBool,
     }
 
     impl SyncTrackingFs {
@@ -487,6 +488,7 @@ mod tests {
             std::sync::Arc::new(SyncTrackingFs {
                 inner: MemFs::new(),
                 synced: Mutex::new(std::collections::HashMap::new()),
+                failing: std::sync::atomic::AtomicBool::new(false),
             })
         }
 
@@ -514,6 +516,9 @@ mod tests {
             self.inner.write(path, bytes)
         }
         fn append(&self, path: &str, bytes: &[u8]) -> Result<u64> {
+            if self.failing.load(Ordering::SeqCst) {
+                return Err(eden_core::EdenError::HostFs(format!("append {path}: disk gone")));
+            }
             self.inner.append(path, bytes)
         }
         fn sync(&self, path: &str) -> Result<()> {
@@ -540,6 +545,25 @@ mod tests {
             self.synced.lock().remove(path);
             self.inner.remove(path)
         }
+    }
+
+    #[test]
+    fn failed_commit_is_not_reported_durable() {
+        let fs = SyncTrackingFs::new();
+        let s = store_on(&(std::sync::Arc::clone(&fs) as HostFsHandle), FsyncPolicy::Always);
+        let uid = Uid::fresh();
+        s.store(uid, "Counter", Bytes::from(vec![1])).unwrap();
+        // The disk goes away: the next commit fails, and the store must
+        // report the failure AND keep serving the last durable record, not
+        // the phantom new one.
+        fs.failing.store(true, Ordering::SeqCst);
+        assert!(s.store(uid, "Counter", Bytes::from(vec![2])).is_err());
+        assert_eq!(s.load(uid).unwrap().bytes, vec![1]);
+        assert_eq!(s.load(uid).unwrap().version, 1);
+        // A never-checkpointed Eject whose first store fails stays absent.
+        let fresh = Uid::fresh();
+        assert!(s.store(fresh, "Counter", Bytes::from(vec![3])).is_err());
+        assert!(!s.contains(fresh));
     }
 
     /// The Interval idle-tail bug: `due_for_sync` is only consulted inside

@@ -13,9 +13,9 @@
 //! * [`StableStore`] — the thin façade every caller sees; clones share one
 //!   backend.
 //! * [`StableBackend`] — the storage contract (store/load/remove/contains/
-//!   iter plus flush/compact hooks), with two implementations:
-//!   [`MemBacked`] (process-lifetime map, optional one-file-per-Eject
-//!   write-through) and [`DurableLog`] (the segment log).
+//!   iter plus flush/compact hooks). [`DurableLog`] (the segment log) is
+//!   the one on-disk format; `MemBacked`, a process-lifetime map, is the
+//!   in-memory default behind [`StableStore::new`].
 //! * [`log`](self::log) — frame and segment codec (length-prefixed,
 //!   CRC-framed records).
 //! * [`committer`](self::committer) — group commit: concurrent `store()`
@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use eden_core::{wire, EdenError, HostFsHandle, Result, Uid, Value};
+use eden_core::{EdenError, HostFsHandle, Result, Uid};
 use parking_lot::Mutex;
 
 pub use committer::FsyncPolicy;
@@ -119,10 +119,9 @@ pub trait StableBackend: Send + Sync + std::fmt::Debug + 'static {
 /// Cheap to clone; clones share the underlying backend, so a store created
 /// before a kernel can outlive it. The façade adds nothing over
 /// [`StableBackend`] except ergonomics (and a best-effort `remove` for the
-/// destroy path); select the backend with [`StableStore::new`],
-/// [`StableStore::persistent`], [`StableStore::durable`] /
-/// [`StableStore::durable_on`], or bring your own via
-/// [`StableStore::with_backend`].
+/// destroy path); select the backend with [`StableStore::new`] (in
+/// memory), [`StableStore::durable`] / [`StableStore::durable_on`] (the
+/// segment log), or bring your own via [`StableStore::with_backend`].
 #[derive(Clone, Debug)]
 pub struct StableStore {
     backend: Arc<dyn StableBackend>,
@@ -145,17 +144,6 @@ impl StableStore {
     /// Wrap an explicit backend.
     pub fn with_backend(backend: Arc<dyn StableBackend>) -> Self {
         StableStore { backend }
-    }
-
-    /// A store persisted in `dir` (created if missing): existing records
-    /// are loaded now, and every later store/remove writes through, one
-    /// file per Eject. Simple and durable, but every checkpoint rewrites
-    /// the whole record — prefer [`StableStore::durable`] for write-heavy
-    /// workloads.
-    pub fn persistent(dir: impl Into<PathBuf>) -> Result<StableStore> {
-        Ok(StableStore {
-            backend: Arc::new(MemBacked::persistent(dir)?),
-        })
     }
 
     /// A log-structured durable store rooted at `path` on the real filing
@@ -247,111 +235,26 @@ impl StableStore {
     }
 }
 
-/// Encode one record (with its UID) for the one-file-per-Eject format.
-pub(crate) fn encode_record(uid: Uid, record: &PassiveRecord) -> Vec<u8> {
-    wire::encode(&Value::record([
-        ("uid", Value::Uid(uid)),
-        ("type", Value::str(record.type_name.clone())),
-        ("version", Value::Int(record.version as i64)),
-        ("bytes", Value::bytes(record.bytes.clone())),
-    ]))
-}
-
-pub(crate) fn decode_record(data: &[u8]) -> Result<(Uid, PassiveRecord)> {
-    let v = wire::decode(data)?;
-    Ok((
-        v.field("uid")?.as_uid()?,
-        PassiveRecord {
-            type_name: v.field("type")?.as_str()?.to_owned(),
-            // Aliases the decoded buffer — the one copy was the file read.
-            bytes: v.field("bytes")?.as_bytes()?.clone(),
-            version: v.field("version")?.as_int()?.max(0) as u64,
-        },
-    ))
-}
-
-/// The process-lifetime backend: a mutexed map, with an optional
-/// one-file-per-Eject write-through directory (the pre-durability-plane
-/// `StableStore::persistent` behaviour, kept bit-for-bit).
+/// The process-lifetime backend behind [`StableStore::new`]: a mutexed
+/// map, gone with the process. The in-memory default and test double;
+/// [`DurableLog`] is the on-disk format.
 #[derive(Debug, Default)]
-pub struct MemBacked {
+pub(crate) struct MemBacked {
     inner: Mutex<HashMap<Uid, PassiveRecord>>,
-    /// When set, every record is written through to one file per Eject in
-    /// this directory, and read back by [`MemBacked::persistent`].
-    persist_dir: Option<PathBuf>,
-}
-
-impl MemBacked {
-    /// An empty, purely in-memory backend.
-    pub fn new() -> Self {
-        MemBacked::default()
-    }
-
-    /// A backend persisted in `dir` (created if missing): existing records
-    /// are loaded now, and every later store/remove writes through.
-    pub fn persistent(dir: impl Into<PathBuf>) -> Result<MemBacked> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| EdenError::HostFs(format!("create {}: {e}", dir.display())))?;
-        let mut map = HashMap::new();
-        let entries = std::fs::read_dir(&dir)
-            .map_err(|e| EdenError::HostFs(format!("read {}: {e}", dir.display())))?;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("rep") {
-                continue;
-            }
-            let data = std::fs::read(&path)
-                .map_err(|e| EdenError::HostFs(format!("read {}: {e}", path.display())))?;
-            let (uid, record) = decode_record(&data)?;
-            map.insert(uid, record);
-        }
-        Ok(MemBacked {
-            inner: Mutex::new(map),
-            persist_dir: Some(dir),
-        })
-    }
-
-    fn file_for(&self, uid: Uid) -> Option<PathBuf> {
-        self.persist_dir.as_ref().map(|d| d.join(format!("{uid}.rep")))
-    }
 }
 
 impl StableBackend for MemBacked {
     fn store(&self, uid: Uid, type_name: &str, bytes: Bytes) -> Result<()> {
-        // Hold the lock across the write-through so a concurrent store
-        // cannot interleave between the map update and the file update
-        // (the rollback below restores exactly what this call displaced).
         let mut map = self.inner.lock();
-        let prior = map.get(&uid).cloned();
-        let version = prior.as_ref().map_or(1, |r| r.version + 1);
-        let record = PassiveRecord {
-            type_name: type_name.to_owned(),
-            bytes,
-            version,
-        };
-        map.insert(uid, record.clone());
-        if let Some(path) = self.file_for(uid) {
-            // Durable write-through: write to a temp file, then rename.
-            let tmp = path.with_extension("tmp");
-            let encoded = encode_record(uid, &record);
-            if let Err(e) =
-                std::fs::write(&tmp, encoded).and_then(|()| std::fs::rename(&tmp, &path))
-            {
-                match prior {
-                    Some(prev) => {
-                        map.insert(uid, prev);
-                    }
-                    None => {
-                        map.remove(&uid);
-                    }
-                }
-                return Err(EdenError::HostFs(format!(
-                    "checkpoint {}: {e}",
-                    path.display()
-                )));
-            }
-        }
+        let version = map.get(&uid).map_or(1, |r| r.version + 1);
+        map.insert(
+            uid,
+            PassiveRecord {
+                type_name: type_name.to_owned(),
+                bytes,
+                version,
+            },
+        );
         Ok(())
     }
 
@@ -369,9 +272,6 @@ impl StableBackend for MemBacked {
 
     fn remove(&self, uid: Uid) -> Result<()> {
         self.inner.lock().remove(&uid);
-        if let Some(path) = self.file_for(uid) {
-            let _ = std::fs::remove_file(path);
-        }
         Ok(())
     }
 
@@ -459,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn persistent_store_survives_reopen() {
+    fn durable_log_survives_reopen() {
         let dir = std::env::temp_dir().join(format!(
             "eden-stable-{}-{}",
             std::process::id(),
@@ -467,59 +367,22 @@ mod tests {
         ));
         let uid = Uid::fresh();
         {
-            let s = StableStore::persistent(&dir).unwrap();
+            let s = StableStore::durable(&dir, FsyncPolicy::Always).unwrap();
             s.store(uid, "Counter", Bytes::from(vec![1, 2, 3])).unwrap();
             s.store(uid, "Counter", Bytes::from(vec![4, 5])).unwrap();
         }
         {
-            let s = StableStore::persistent(&dir).unwrap();
+            let s = StableStore::durable(&dir, FsyncPolicy::Always).unwrap();
             let rec = s.load(uid).unwrap();
             assert_eq!(rec.type_name, "Counter");
             assert_eq!(rec.bytes, vec![4, 5]);
             assert_eq!(rec.version, 2);
             s.remove(uid);
         }
-        let s = StableStore::persistent(&dir).unwrap();
+        let s = StableStore::durable(&dir, FsyncPolicy::Always).unwrap();
         assert!(!s.contains(uid));
+        drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn failed_write_through_is_not_reported_durable() {
-        let dir = std::env::temp_dir().join(format!(
-            "eden-stable-gone-{}-{}",
-            std::process::id(),
-            Uid::fresh().seq()
-        ));
-        let s = StableStore::persistent(&dir).unwrap();
-        let uid = Uid::fresh();
-        s.store(uid, "Counter", Bytes::from(vec![1])).unwrap();
-        // Yank the directory out from under the store: the next disk
-        // write fails, and the store must report the failure AND keep
-        // serving the last durable record, not the phantom new one.
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert!(s.store(uid, "Counter", Bytes::from(vec![2])).is_err());
-        assert_eq!(s.load(uid).unwrap().bytes, vec![1]);
-        assert_eq!(s.load(uid).unwrap().version, 1);
-        // A never-checkpointed Eject whose first store fails stays absent.
-        let fresh = Uid::fresh();
-        assert!(s.store(fresh, "Counter", Bytes::from(vec![3])).is_err());
-        assert!(!s.contains(fresh));
-    }
-
-    #[test]
-    fn record_codec_roundtrip() {
-        let uid = Uid::fresh();
-        let rec = PassiveRecord {
-            type_name: "X".into(),
-            bytes: Bytes::from(vec![9, 8, 7]),
-            version: 3,
-        };
-        let (got_uid, got) = decode_record(&encode_record(uid, &rec)).unwrap();
-        assert_eq!(got_uid, uid);
-        assert_eq!(got.type_name, rec.type_name);
-        assert_eq!(got.bytes, rec.bytes);
-        assert_eq!(got.version, rec.version);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! cargo run -p eden-shell --bin eden-sh [-- --obs]
 //! ```
 //!
-//! `--obs` turns on the observability plane (spans + per-stage
-//! histograms) so `trace export` and the stage table in `stats` have
-//! data; by default the kernel runs with observability off.
+//! `--obs` turns on the observability plane (spans, kernel events and
+//! per-stage histograms) so `trace`, `top` and the stage table in `stats`
+//! have data; by default the kernel runs with observability off.
 //!
 //! Type `help` for the command reference; Ctrl-D or `quit` exits.
 
@@ -26,10 +26,7 @@ fn main() {
             }
         }
     }
-    let kernel = Kernel::builder()
-        .trace_capacity(256)
-        .observability(observability)
-        .build();
+    let kernel = Kernel::builder().observability(observability).build();
     let session = match Session::new(&kernel) {
         Ok(s) => s,
         Err(e) => {

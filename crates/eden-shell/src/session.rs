@@ -11,7 +11,7 @@
 //!   until it deactivates; UIDs, not names, own Ejects)
 //! * `checkpoint NAME` / `crash NAME` — durability controls
 //! * `stats` — kernel metrics snapshot
-//! * `trace` — recent kernel events (if tracing is enabled)
+//! * `trace` — recent spans and kernel events (if spans are enabled)
 //! * `help`
 //!
 //! Anything else is parsed as a pipeline (see the crate docs).
@@ -355,51 +355,72 @@ impl Session {
                 rate(delta.records_emitted),
                 rate(delta.records_collected),
             ));
-            for (uid, count) in self.kernel.invocations_by_target().into_iter().take(10) {
+            // Busiest Ejects: stage-histogram counts summed per Eject.
+            let mut tallies: Vec<(Uid, u64)> = Vec::new();
+            for stage in self.kernel.stage_summaries() {
+                match tallies.iter_mut().find(|(uid, _)| *uid == stage.target) {
+                    Some((_, count)) => *count += stage.count,
+                    None => tallies.push((stage.target, stage.count)),
+                }
+            }
+            tallies.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            for (uid, count) in tallies.into_iter().take(10) {
                 out.push(format!("{count:>8}  {uid}"));
             }
             prev = now;
             prev_at = std::time::Instant::now();
         }
-        if out.len() == frames.max(1) && self.kernel.invocations_by_target().is_empty() {
-            out.push("no per-Eject data (tracing disabled, or nothing invoked yet)".to_owned());
+        if out.len() == frames.max(1) {
+            out.push("no per-Eject data (histograms disabled, or nothing invoked yet)".to_owned());
         }
         Ok(out)
     }
 
     fn trace(&self, args: &[&str]) -> Result<Vec<String>> {
-        match args.first() {
-            Some(&"export") => {
-                let spans = self.kernel.spans();
-                if !self.kernel.spans_enabled() {
-                    return Ok(vec![
-                        "span recording disabled (enable spans via KernelBuilder::observability; eden-sh: --obs)"
-                            .to_owned(),
-                    ]);
-                }
-                // Chrome trace_event JSON: load into chrome://tracing or
-                // Perfetto. One line so callers can redirect it to a file.
-                return Ok(vec![eden_kernel::chrome_trace_json(&spans)]);
-            }
-            Some(other) => {
+        let export = match args {
+            [] => false,
+            ["export"] => true,
+            [other, ..] => {
                 return Err(EdenError::BadParameter(format!(
                     "trace: unknown subcommand `{other}` (try `trace` or `trace export`)"
                 )))
             }
-            None => {}
-        }
-        let dump = self.kernel.trace_events();
-        if dump.is_empty() && dump.dropped == 0 {
+        };
+        if !self.kernel.spans_enabled() {
             return Ok(vec![
-                "tracing disabled (start the kernel with trace_capacity > 0)".to_owned(),
+                "span recording disabled (enable spans via KernelBuilder::observability; eden-sh: --obs)"
+                    .to_owned(),
             ]);
         }
-        let mut out: Vec<String> = dump.iter().map(|e| e.to_string()).collect();
-        if dump.dropped > 0 {
-            out.push(format!(
-                "({} earlier event(s) evicted from the ring)",
-                dump.dropped
-            ));
+        let spans = self.kernel.spans();
+        if export {
+            // Chrome trace_event JSON: load into chrome://tracing or
+            // Perfetto. One line so callers can redirect it to a file.
+            return Ok(vec![eden_kernel::chrome_trace_json(&spans)]);
+        }
+        // Spans and kernel events share one store; interleave them by time.
+        let mut lines: Vec<(u64, String)> = spans
+            .iter()
+            .map(|s| {
+                let remote = if s.from != s.to { ", remote" } else { "" };
+                let failed = if s.ok { "" } else { " failed" };
+                let text = format!(
+                    "invoke {} -> {} (node {} -> {}{remote}){failed}",
+                    s.op, s.target, s.from.0, s.to.0
+                );
+                (s.start_ns, text)
+            })
+            .chain(self.kernel.kernel_events().iter().map(|e| (e.at_ns(), e.to_string())))
+            .collect();
+        lines.sort_by_key(|(at_ns, _)| *at_ns);
+        let snap = self.kernel.metrics_snapshot();
+        let evicted = snap.spans_dropped + snap.trace_dropped;
+        let mut out: Vec<String> = lines
+            .into_iter()
+            .map(|(ns, text)| format!("[{:>10.3} ms] {text}", ns as f64 / 1e6))
+            .collect();
+        if evicted > 0 {
+            out.push(format!("({evicted} earlier entr(ies) evicted from the ring)"));
         }
         Ok(out)
     }
@@ -423,7 +444,7 @@ built-ins:
   stats [--prometheus|--json]
                           kernel metrics snapshot (optionally rendered as
                           Prometheus exposition text or JSON)
-  trace                   recent kernel events (needs tracing enabled)
+  trace                   recent spans + kernel events (needs spans on)
   trace export            spans as Chrome trace_event JSON (Perfetto)
   top [--watch [FRAMES]]  stream gauges + busiest Ejects; --watch repeats
   help                    this text
@@ -504,11 +525,14 @@ mod tests {
 
     #[test]
     fn trace_command_reports_state() {
-        let kernel = Kernel::builder().trace_capacity(64).build();
+        let kernel = Kernel::builder()
+            .observability(eden_kernel::ObsConfig::full())
+            .build();
         let s = Session::new(&kernel).unwrap();
         s.execute("mkfile t a").unwrap();
         let trace = s.execute("trace").unwrap();
         assert!(trace.iter().any(|l| l.contains("invoke")));
+        assert!(trace.iter().any(|l| l.contains("activate")));
         let top = s.execute("top").unwrap();
         assert!(top[0].contains("streams active"));
         assert!(top[1].trim().chars().next().unwrap().is_ascii_digit());
@@ -533,7 +557,12 @@ mod tests {
 
     #[test]
     fn trace_reports_ring_eviction() {
-        let kernel = Kernel::builder().trace_capacity(4).build();
+        let kernel = Kernel::builder()
+            .observability(eden_kernel::ObsConfig {
+                span_capacity: 4,
+                ..eden_kernel::ObsConfig::full()
+            })
+            .build();
         let s = Session::new(&kernel).unwrap();
         for i in 0..4 {
             s.execute(&format!("mkfile f{i} x")).unwrap();

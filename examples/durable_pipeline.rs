@@ -16,11 +16,14 @@ use eden::core::op::ops;
 use eden::core::Value;
 use eden::filters::{DurableFilterEject, FilterSpec};
 use eden::fs::{register_fs_types, FileEject};
-use eden::kernel::Kernel;
+use eden::kernel::{Kernel, ObsConfig};
 use eden::transput::protocol::{Batch, TransferRequest};
 
 fn main() {
-    let kernel = Kernel::builder().trace_capacity(512).build();
+    // Spans on, so the kernel's activate/stop events are kept to read back.
+    let kernel = Kernel::builder()
+        .observability(ObsConfig::full())
+        .build();
     register_fs_types(&kernel);
     DurableFilterEject::register(&kernel);
 
@@ -76,8 +79,9 @@ fn main() {
         kernel.stable_store().total_bytes()
     );
     println!("\nlast few kernel events:");
-    for event in kernel.trace_events().iter().rev().take(6).rev() {
-        println!("  {event}");
+    let events = kernel.kernel_events();
+    for event in &events[events.len().saturating_sub(6)..] {
+        println!("  [{:>9.3} ms] {event}", event.at_ns() as f64 / 1e6);
     }
     kernel.shutdown();
 }

@@ -7,7 +7,7 @@ use eden::core::op::ops;
 use eden::core::{Uid, Value};
 use eden::filters::{DurableFilterEject, FilterSpec};
 use eden::fs::{register_fs_types, FileEject};
-use eden::kernel::{Kernel, StableStore};
+use eden::kernel::{FsyncPolicy, Kernel, StableStore};
 use eden::transput::protocol::{Batch, TransferRequest};
 
 fn register_all(kernel: &Kernel) {
@@ -125,7 +125,7 @@ fn durable_pipeline_over_disk_backed_store() {
     ));
     let filter;
     {
-        let store = StableStore::persistent(&dir).expect("open store");
+        let store = StableStore::durable(&dir, FsyncPolicy::Always).expect("open store");
         let kernel = Kernel::builder().stable_store(store).build();
         register_all(&kernel);
         let (_cursor, f) = durable_chain(&kernel, 4);
@@ -136,7 +136,7 @@ fn durable_pipeline_over_disk_backed_store() {
     }
     {
         // Re-open the store from disk — nothing shared in memory.
-        let store = StableStore::persistent(&dir).expect("reopen store");
+        let store = StableStore::durable(&dir, FsyncPolicy::Always).expect("reopen store");
         let kernel = Kernel::builder().stable_store(store).build();
         register_all(&kernel);
         let batch = transfer(&kernel, filter, 10);
