@@ -19,9 +19,9 @@
 //! depend only on its parameters, and not on the identity of the invoker",
 //! since consulting the sender would prohibit dynamic redirection.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use eden_core::{EdenError, Metrics, OpName, Result, Uid, Value};
 
 /// The default deadline used by synchronous waits. Generous enough that it
@@ -209,8 +209,15 @@ impl Drop for ReplyHandle {
 /// of the sending Eject", §1).
 #[derive(Debug)]
 pub enum PendingReply {
-    /// The reply will arrive on this channel.
-    Waiting(Receiver<Result<Value>>),
+    /// The reply will arrive on this channel, from `responder`. A
+    /// scheduler worker waiting here first tries to run `responder`
+    /// inline on its own stack (see the `sched` module docs).
+    Waiting {
+        /// The reply channel.
+        rx: Receiver<Result<Value>>,
+        /// The Eject that owes the reply.
+        responder: Uid,
+    },
     /// The outcome was known at send time (e.g. no such Eject).
     Ready(Option<Result<Value>>),
     /// A reply governed by a retry policy or deadline (see
@@ -237,10 +244,8 @@ impl PendingReply {
     pub fn wait_timeout(self, deadline: Duration) -> Result<Value> {
         match self {
             PendingReply::Ready(mut r) => r.take().unwrap_or(Err(EdenError::Timeout)),
-            // A rendezvous point: a scheduler worker waiting here counts as
-            // blocked so the pool can compensate with a spare.
-            PendingReply::Waiting(rx) => {
-                match crate::sched::blocking(|| rx.recv_timeout(deadline)) {
+            PendingReply::Waiting { rx, responder } => {
+                match recv_waiting(&rx, responder, deadline) {
                     Ok(result) => result,
                     Err(RecvTimeoutError::Timeout) => Err(EdenError::Timeout),
                     // Sender dropped without replying and without the Drop
@@ -261,8 +266,8 @@ impl PendingReply {
     pub fn poll_timeout(&mut self, deadline: Duration) -> Option<Result<Value>> {
         match self {
             PendingReply::Ready(r) => Some(r.take().unwrap_or(Err(EdenError::Timeout))),
-            PendingReply::Waiting(rx) => {
-                match crate::sched::blocking(|| rx.recv_timeout(deadline)) {
+            PendingReply::Waiting { rx, responder } => {
+                match recv_waiting(rx, *responder, deadline) {
                     Ok(result) => Some(result),
                     Err(RecvTimeoutError::Timeout) => None,
                     Err(RecvTimeoutError::Disconnected) => Some(Err(EdenError::KernelShutdown)),
@@ -277,18 +282,36 @@ impl PendingReply {
     pub fn try_wait(self) -> std::result::Result<Result<Value>, PendingReply> {
         match self {
             PendingReply::Ready(mut r) => Ok(r.take().unwrap_or(Err(EdenError::Timeout))),
-            PendingReply::Waiting(rx) => match rx.try_recv() {
+            PendingReply::Waiting { rx, responder } => match rx.try_recv() {
                 Ok(result) => Ok(result),
-                Err(crossbeam::channel::TryRecvError::Empty) => {
-                    Err(PendingReply::Waiting(rx))
-                }
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    Ok(Err(EdenError::KernelShutdown))
-                }
+                Err(TryRecvError::Empty) => Err(PendingReply::Waiting { rx, responder }),
+                Err(TryRecvError::Disconnected) => Ok(Err(EdenError::KernelShutdown)),
             },
             PendingReply::Retrying(state) => state.try_wait().map_err(PendingReply::Retrying),
         }
     }
+}
+
+/// Wait up to `deadline` for a reply owed by `responder`. On a scheduler
+/// worker whose LIFO slot holds `responder` (the send just woke it), the
+/// responder first runs inline on this stack; only a reply still out
+/// after that enters the blocking wait — a rendezvous point, where the
+/// worker counts as blocked so the pool can compensate with a spare.
+fn recv_waiting(
+    rx: &Receiver<Result<Value>>,
+    responder: Uid,
+    deadline: Duration,
+) -> std::result::Result<Result<Value>, RecvTimeoutError> {
+    let start = Instant::now();
+    if crate::sched::run_inline(responder, &|| !rx.is_empty()) {
+        match rx.try_recv() {
+            Ok(result) => return Ok(result),
+            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+            Err(TryRecvError::Empty) => {}
+        }
+    }
+    let remaining = deadline.saturating_sub(start.elapsed());
+    crate::sched::blocking(|| rx.recv_timeout(remaining))
 }
 
 /// Create a connected reply pair for an invocation of `responder`.
@@ -303,7 +326,7 @@ pub fn reply_pair(responder: Uid, metrics: Metrics) -> (ReplyHandle, PendingRepl
             meter_outcome: false,
             admit_by: None,
         },
-        PendingReply::Waiting(rx),
+        PendingReply::Waiting { rx, responder },
     )
 }
 

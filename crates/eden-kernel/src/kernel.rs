@@ -1062,8 +1062,9 @@ impl Kernel {
     /// Simulated fail-stop crash of one Eject. The coordinator stops at
     /// its next dispatch point without replying to anything outstanding;
     /// waiters observe [`EdenError::EjectCrashed`]. Blocks until the
-    /// coordinator has exited — except when an Eject crashes *itself*,
-    /// which returns without waiting.
+    /// coordinator has exited — except when an Eject crashes *itself*
+    /// (or a caller whose reply wait is running it inline), which returns
+    /// without waiting.
     pub fn crash(&self, uid: Uid) -> Result<()> {
         let (tx, task) = {
             let slots = self.inner.shard(uid).slots.read();
@@ -1076,10 +1077,11 @@ impl Kernel {
         self.inner.metrics.record_crash();
         // Crash must land even if the mailbox is bounded and full.
         let _ = tx.force_send(Envelope::Crash);
-        // A worker crashing the very task it is resuming cannot wait for
-        // that task to die — it dies when this dispatch returns. Every
-        // other caller gets the blocking semantics.
-        if crate::sched::current_task() != Some(uid) {
+        // A worker crashing a task it is resuming — itself, or a caller
+        // nested below it by an inline resume — cannot wait for that task
+        // to die: it dies when its dispatch returns. Every other caller
+        // gets the blocking semantics.
+        if !crate::sched::running_here(uid) {
             task.wait_dead();
         }
         Ok(())

@@ -636,6 +636,12 @@ impl MailboxCore {
         Some(envelope)
     }
 
+    /// Whether no envelope is queued right now. A hint: a send may land
+    /// the moment the lock drops, which the parking bit then reports.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.mailq.lock().q.is_empty()
+    }
+
     /// Close the mailbox and return everything still queued. Dropping the
     /// returned envelopes resolves their replies with `EjectCrashed` —
     /// the fail-fast the old drain loop provided. Atomic under the ring

@@ -62,6 +62,23 @@
 //! the old model — while the common case (parked Ejects, non-blocking
 //! handlers) costs `workers` threads total.
 //!
+//! # Inline callee resume
+//!
+//! The commonest rendezvous is a synchronous invocation: a handler sends
+//! to a parked Eject — whose wake lands in this worker's LIFO slot — and
+//! waits on the reply. Blocking there would flush the callee to the deque
+//! and wake a sibling to steal it: two cross-thread handoffs per hop while
+//! this thread idles. Instead [`run_inline`] takes the awaited responder
+//! out of the worker's own LIFO slot and resumes it nested on the current
+//! stack, so a depth-n pull or push chain runs as one call stack on one
+//! thread. Three guards bound it: only the awaited responder is taken,
+//! and only from this worker's own slot; the nested resume yields as
+//! soon as the awaited reply is settled (mail still queued goes back to
+//! the deque as `QUEUED`, so the caller is never held hostage behind the
+//! callee's later envelopes); and nesting stops at [`MAX_INLINE_DEPTH`].
+//! If the reply is still unsettled afterwards (a deferred reply, an
+//! exhausted budget) the wait falls back to the blocking path above.
+//!
 //! The scheduler is deliberately kernel-agnostic: tasks hold a
 //! [`WeakKernel`] and workers hold only the scheduler, so a dropped
 //! kernel tears down through the normal shutdown path with no reference
@@ -137,6 +154,13 @@ const COUNTER_SHARDS: usize = 16;
 /// cache-hot task to a cold core is exactly what the slot exists to
 /// prevent.
 const LIFO_STALE: Duration = Duration::from_millis(1);
+
+/// Deepest nesting of inline callee resumes on one worker stack (see
+/// [`run_inline`]). Deep enough that a pipeline of a dozen stages runs
+/// as one stack; shallow enough that the nested handler frames stay far
+/// from a worker's stack limit. A wait at the cap takes the blocking
+/// path, which hands the callee to another thread as before.
+const MAX_INLINE_DEPTH: u32 = 16;
 
 /// Pads a hot field to its own cache-line pair (128 bytes covers x86's
 /// adjacent-line prefetcher and 128-byte Apple/POWER lines), so one
@@ -279,6 +303,21 @@ impl LifoSlot {
         let old = self.task.swap(std::ptr::null_mut(), Ordering::AcqRel);
         (!old.is_null()).then(|| unsafe { Arc::from_raw(old) })
     }
+
+    /// Owner-only: take the slot's task if it is `uid`'s, else leave the
+    /// slot as it was. Only the owner ever puts, so putting a non-matching
+    /// task back cannot displace anything; a thief racing the take sees
+    /// an empty slot for that instant, which only costs it the steal.
+    fn take_if(&self, uid: Uid) -> Option<Arc<Task>> {
+        let task = self.take()?;
+        if task.uid() == uid {
+            return Some(task);
+        }
+        if let Some(displaced) = self.put(task) {
+            unreachable!("LIFO slot put by a non-owner: {displaced:?}");
+        }
+        None
+    }
 }
 
 impl Drop for LifoSlot {
@@ -350,6 +389,9 @@ struct WorkerSlot {
     /// Task pickups by this worker; folded into the stall monitor's
     /// progress signal.
     progress: AtomicU64,
+    /// Awaited responders this worker resumed nested on its own stack
+    /// (see [`run_inline`]).
+    inline_resumes: AtomicU64,
 }
 
 /// Tuning knobs for the worker pool, set through
@@ -424,6 +466,10 @@ pub struct SchedSnapshot {
     /// occupancy plus occupied LIFO slots. A hint (relaxed reads), exact
     /// at rest.
     pub queued_tasks: u64,
+    /// Reply waits that resumed the awaited responder nested on the
+    /// waiting worker's own stack instead of handing it to another
+    /// thread. One per synchronous hop when a chain runs inline.
+    pub inline_resumes: u64,
 }
 
 /// The coordinator state of one scheduler-mode Eject: its behaviour box,
@@ -474,7 +520,7 @@ impl Task {
     }
 
     /// Block until this task's death latch trips. Must not be called from
-    /// the worker currently running the task (see [`current_task`]).
+    /// a worker currently running the task (see [`running_here`]).
     pub(crate) fn wait_dead(&self) {
         blocking(|| {
             let mut died = self.died.lock();
@@ -504,26 +550,37 @@ enum Resume {
 }
 
 /// Thread-local identity of a worker: which scheduler it serves, which
-/// slot (if any — spares have none), and the blocking-section depth
-/// (only the outermost section counts the worker as lost).
+/// slot (if any — spares have none), the blocking-section depth (only
+/// the outermost section counts the worker as lost), and how many inline
+/// resumes are nested on its stack.
 struct WorkerTls {
     sched: Arc<Scheduler>,
     slot: Option<usize>,
     block_depth: u32,
+    inline_depth: u32,
 }
 
 thread_local! {
     static WORKER: std::cell::RefCell<Option<WorkerTls>> =
         const { std::cell::RefCell::new(None) };
-    /// The task this worker is currently resuming. Lets crash/shutdown
-    /// recognise "waiting on myself" and skip the self-deadlock.
-    static CURRENT_TASK: Cell<Option<Uid>> = const { Cell::new(None) };
+    /// The tasks this thread is resuming, innermost last: one at the top
+    /// of the dispatch loop, more while inline resumes are nested. Lets
+    /// crash/shutdown recognise "waiting on a task below me on this
+    /// stack" and skip the self-deadlock.
+    static CURRENT_TASKS: std::cell::RefCell<Vec<Uid>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// The UID of the task the calling thread is currently resuming, if the
-/// calling thread is a scheduler worker mid-resume.
-pub(crate) fn current_task() -> Option<Uid> {
-    CURRENT_TASK.with(|c| c.get())
+/// Whether the calling thread is a scheduler worker resuming `uid` —
+/// the innermost task or one nested below it by an inline resume.
+pub(crate) fn running_here(uid: Uid) -> bool {
+    CURRENT_TASKS.with(|c| c.borrow().contains(&uid))
+}
+
+/// How many tasks the calling thread is resuming right now (0 off the
+/// pool, 1 at the top of a resume, more while inline resumes nest).
+fn tasks_running_here() -> u64 {
+    CURRENT_TASKS.with(|c| c.borrow().len() as u64)
 }
 
 /// Run `f` as an explicit yield point: a rendezvous that may block the
@@ -557,16 +614,78 @@ pub fn blocking<R>(f: impl FnOnce() -> R) -> R {
         }
         sched.note_block_enter();
     }
-    let out = f();
-    if let Some((sched, _)) = &outermost {
-        sched.note_block_exit();
+    // Leave the section on unwind too: a panic inside `f` (caught by the
+    // resume that ran it) must not leave this worker counted as blocked.
+    let _section = BlockSection { outermost };
+    f()
+}
+
+/// Exit half of [`blocking`], run on return and on unwind alike.
+struct BlockSection {
+    outermost: Option<(Arc<Scheduler>, Option<usize>)>,
+}
+
+impl Drop for BlockSection {
+    fn drop(&mut self) {
+        if let Some((sched, _)) = &self.outermost {
+            sched.note_block_exit();
+        }
+        WORKER.with(|w| {
+            if let Some(worker) = w.borrow_mut().as_mut() {
+                worker.block_depth -= 1;
+            }
+        });
     }
+}
+
+/// Run the awaited responder inline: the reply-wait half of the dispatch
+/// fast path (see the module docs). If the calling thread is a slotted
+/// worker outside any blocking section, below [`MAX_INLINE_DEPTH`], and
+/// `responder`'s task sits in its LIFO slot — where the send that this
+/// wait follows put it — the task is resumed nested on this stack until
+/// `settled` reports the reply in, its mailbox runs dry, or its fairness
+/// budget runs out. Returns whether a nested resume ran; the caller then
+/// re-checks its reply and falls back to the blocking wait if it is
+/// still out.
+pub(crate) fn run_inline(responder: Uid, settled: &dyn Fn() -> bool) -> bool {
+    if settled() {
+        return false;
+    }
+    let claim = WORKER.with(|w| {
+        let mut tls = w.borrow_mut();
+        let worker = tls.as_mut()?;
+        if worker.block_depth > 0 || worker.inline_depth >= MAX_INLINE_DEPTH {
+            return None;
+        }
+        let i = worker.slot?;
+        let task = worker.sched.slots[i].lifo.take_if(responder)?;
+        worker.inline_depth += 1;
+        Some((Arc::clone(&worker.sched), i, task))
+    });
+    let Some((sched, i, task)) = claim else {
+        return false;
+    };
+    sched.slots[i]
+        .inline_resumes
+        .fetch_add(1, Ordering::Relaxed);
+    sched.note_progress(Some(i));
+    // `run_task` catches a panic in the callee, so the depth always
+    // unwinds here.
+    sched.run_task(task, Some(Inline { slot: i, settled }));
     WORKER.with(|w| {
         if let Some(worker) = w.borrow_mut().as_mut() {
-            worker.block_depth -= 1;
+            worker.inline_depth -= 1;
         }
     });
-    out
+    true
+}
+
+/// What a nested resume needs to know: the worker slot whose deque takes
+/// the callee back, and when the awaited reply is in.
+#[derive(Clone, Copy)]
+struct Inline<'a> {
+    slot: usize,
+    settled: &'a dyn Fn() -> bool,
 }
 
 /// The worker pool and its lock-free dispatch state. One per
@@ -632,6 +751,7 @@ impl Scheduler {
                 parker: Arc::new(Parker::new()),
                 steals: AtomicU64::new(0),
                 progress: AtomicU64::new(0),
+                inline_resumes: AtomicU64::new(0),
             })
             .collect();
         let injector: Box<[InjectShard]> = (0..config.run_queue_shards)
@@ -706,6 +826,11 @@ impl Scheduler {
             workers_idle: self.idle_count.0.load(Ordering::Relaxed) as u64,
             wake_tokens: self.wakes_pending.0.load(Ordering::Relaxed) as u64,
             queued_tasks: queued,
+            inline_resumes: self
+                .slots
+                .iter()
+                .map(|slot| slot.inline_resumes.load(Ordering::Relaxed))
+                .sum(),
         }
     }
 
@@ -1116,15 +1241,16 @@ impl Scheduler {
 
     /// Resume one task: drain up to the fairness budget, then park or
     /// requeue; run the death path if an exit envelope (or a panic in the
-    /// behaviour) ends it.
-    fn run_task(&self, task: Arc<Task>) {
+    /// behaviour) ends it. `inline` is set when the resume is nested
+    /// under a reply wait (see [`run_inline`]).
+    fn run_task(&self, task: Arc<Task>, inline: Option<Inline<'_>>) {
         let bit = task.core.park_bit();
         // eden-lint: transition(QUEUED -> RUNNING)
         bit.store(park::RUNNING, Ordering::Release);
-        CURRENT_TASK.with(|c| c.set(Some(task.uid())));
+        CURRENT_TASKS.with(|c| c.borrow_mut().push(task.uid()));
         let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.resume(&task)));
-        CURRENT_TASK.with(|c| c.set(None));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.resume(&task, inline)));
+        CURRENT_TASKS.with(|c| c.borrow_mut().pop());
         match outcome {
             Ok(Resume::Yield) => {}
             Ok(Resume::Dead(crashed)) => self.reap(&task, crashed),
@@ -1139,13 +1265,16 @@ impl Scheduler {
         }
     }
 
-    fn resume(&self, task: &Arc<Task>) -> Resume {
+    fn resume(&self, task: &Arc<Task>, inline: Option<Inline<'_>>) -> Resume {
         let Some(mut body) = task.take_body() else {
             // Only reachable if a stale queue entry outlived the death
             // path; nothing to run.
             return Resume::Yield;
         };
-        let _span = body.ambient.map(|ctx| eden_core::span::enter(Some(ctx)));
+        // Always (re)enter the task's own ambient span, even when it has
+        // none: a nested resume must not inherit its caller's span, and
+        // the guard restores the caller's on the way out.
+        let _span = eden_core::span::enter(body.ambient);
         let pickup = Instant::now();
         let rq_enq = self.epoch + Duration::from_nanos(task.rq_enq_ns.load(Ordering::Relaxed));
         if !body.activated {
@@ -1169,7 +1298,29 @@ impl Scheduler {
                 self.push_fifo(Arc::clone(task));
                 return Resume::Yield;
             }
-            match task.core.pop() {
+            let next = match inline {
+                Some(inline) if (inline.settled)() => {
+                    if !task.core.is_empty() {
+                        // The awaited reply is in but mail is still
+                        // queued: hand the callee back to the run queue
+                        // rather than hold the caller hostage behind it.
+                        // LIFO-side (the worker's deque), since this
+                        // worker is the one most likely to run it next.
+                        // eden-lint: transition(RUNNING|DIRTY -> QUEUED)
+                        bit.store(park::QUEUED, Ordering::Release);
+                        task.put_body(body);
+                        self.stamp_enqueue(task);
+                        self.push_local_deque(inline.slot, Arc::clone(task));
+                        return Resume::Yield;
+                    }
+                    // Settled and empty: park the usual way (a send that
+                    // races in marks us dirty and lands in the branch
+                    // above on the next turn).
+                    None
+                }
+                _ => task.core.pop(),
+            };
+            match next {
                 Some(Envelope::Invocation(inv, mut reply)) => {
                     budget -= 1;
                     let _guard = reply.begin_service(rq_enq, pickup);
@@ -1249,10 +1400,10 @@ impl Scheduler {
     }
 
     /// Block until every task has died, excluding (when called from a
-    /// worker mid-resume) the task this thread is currently running —
+    /// worker mid-resume) the tasks this thread is currently running —
     /// which cannot die before this call returns.
     pub(crate) fn wait_all_dead(&self) {
-        let allow = u64::from(current_task().is_some());
+        let allow = tasks_running_here();
         blocking(|| {
             let mut death = self.death_mx.lock();
             while self.tasks_alive.sum() > allow {
@@ -1306,6 +1457,7 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
             sched: Arc::clone(&sched),
             slot: me,
             block_depth: 0,
+            inline_depth: 0,
         })
     });
     let mut lifo_streak = 0u32;
@@ -1330,7 +1482,7 @@ fn worker_main(sched: Arc<Scheduler>, idx: usize) {
                 sched.consume_wake_token();
             }
             sched.note_progress(me);
-            sched.run_task(task);
+            sched.run_task(task, None);
             continue;
         }
         if sched.stopping.load(Ordering::Acquire) {

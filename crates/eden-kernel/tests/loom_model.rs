@@ -680,6 +680,301 @@ fn lifo_slot_handoff_is_exactly_once_and_never_stranded() {
 }
 
 // ---------------------------------------------------------------------
+// Inline callee resume (`sched.rs::run_inline`): a worker waiting on a
+// reply takes the awaited responder out of its own LIFO slot and resumes
+// it nested on its stack. That take races a thief's stranded-slot rescue
+// (the slot went stale while the owner was away) and a sender landing
+// more mail on the callee — which marks it DIRTY while the nested resume
+// runs. The distilled contract:
+//
+// 1. the slot's task is claimed exactly once — by the inline take or by
+//    the thief, never both, never neither;
+// 2. no envelope is lost: the awaited one and the sender's are each
+//    processed exactly once, by whichever resume runs them;
+// 3. the nested resume stops once the awaited reply is settled: mail
+//    still queued sends the task back to the run queue as QUEUED
+//    (`RUNNING|DIRTY -> QUEUED`), an empty mailbox parks the usual way;
+// 4. every bit transition is an edge of `mailbox::spec::TRANSITIONS`.
+
+struct InlineModel {
+    /// The owner's LIFO slot: 0 = empty, else a task id. Task 1 is the
+    /// awaited responder.
+    slot: AtomicUsize,
+    bit: loom::sync::atomic::AtomicU8,
+    /// The responder's ring, reduced to a count; the awaited envelope is
+    /// the first one queued.
+    mailq: Mutex<u32>,
+    body: Mutex<Option<()>>,
+    /// Run-queue entries (deque or injector) naming the responder.
+    runq: Mutex<u32>,
+    /// Claims of the slot's task (invariant 1).
+    claims: AtomicU32,
+    processed: AtomicU32,
+    /// The awaited reply has been settled.
+    replied: AtomicBool,
+}
+
+impl InlineModel {
+    /// The moment `run_inline` looks: the send the owner waits on has
+    /// just woken the parked responder into the owner's slot.
+    fn new() -> Self {
+        InlineModel {
+            slot: AtomicUsize::new(1),
+            bit: loom::sync::atomic::AtomicU8::new(pk::QUEUED),
+            mailq: Mutex::new(1),
+            body: Mutex::new(Some(())),
+            runq: Mutex::new(0),
+            claims: AtomicU32::new(0),
+            processed: AtomicU32::new(0),
+            replied: AtomicBool::new(false),
+        }
+    }
+
+    /// `LifoSlot::take_if`: swap the slot empty, keep the task only if it
+    /// is the awaited one, else put it back (only the owner ever puts).
+    fn take_if(&self, want: usize) -> Option<usize> {
+        let got = self.slot.swap(0, Ordering::AcqRel);
+        if got == 0 {
+            return None;
+        }
+        if got == want {
+            return Some(got);
+        }
+        let displaced = self.slot.swap(got, Ordering::AcqRel);
+        assert_eq!(displaced, 0, "only the owner puts into its slot");
+        None
+    }
+
+    /// Sender side: the `wake_after_push` loop, as in `ParkModel::send`.
+    fn send(&self) {
+        *self.mailq.lock().unwrap() += 1;
+        loop {
+            match self.bit.load(Ordering::Acquire) {
+                pk::PARKED => {
+                    if self
+                        .bit
+                        .compare_exchange(
+                            pk::PARKED,
+                            pk::QUEUED,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        )
+                        .is_ok()
+                    {
+                        spec::assert_transition(pk::PARKED, pk::QUEUED);
+                        *self.runq.lock().unwrap() += 1;
+                        return;
+                    }
+                }
+                pk::RUNNING => {
+                    if self
+                        .bit
+                        .compare_exchange(
+                            pk::RUNNING,
+                            pk::DIRTY,
+                            Ordering::AcqRel,
+                            Ordering::Acquire,
+                        )
+                        .is_ok()
+                    {
+                        spec::assert_transition(pk::RUNNING, pk::DIRTY);
+                        return;
+                    }
+                }
+                _ => return,
+            }
+        }
+    }
+
+    /// `Scheduler::resume`, with the inline guard when `inline` is set.
+    fn resume(&self, inline: bool) {
+        let prev = self.bit.swap(pk::RUNNING, Ordering::AcqRel);
+        spec::assert_transition(prev, pk::RUNNING);
+        let mut held = self
+            .body
+            .lock()
+            .unwrap()
+            .take()
+            .expect("claimed task with no body: it ran twice");
+        loop {
+            let settled = inline && self.replied.load(Ordering::SeqCst);
+            if settled {
+                if *self.mailq.lock().unwrap() > 0 {
+                    // Yield: the caller is not held hostage behind the
+                    // callee's later mail.
+                    *self.body.lock().unwrap() = Some(held);
+                    let prev = self.bit.swap(pk::QUEUED, Ordering::AcqRel);
+                    spec::assert_transition(prev, pk::QUEUED);
+                    *self.runq.lock().unwrap() += 1;
+                    return;
+                }
+            } else {
+                let popped = {
+                    let mut m = self.mailq.lock().unwrap();
+                    if *m > 0 {
+                        *m -= 1;
+                        true
+                    } else {
+                        false
+                    }
+                };
+                if popped {
+                    // Invariant 3: a nested resume never runs mail past
+                    // the settle point.
+                    assert!(
+                        !(inline && self.replied.load(Ordering::SeqCst)),
+                        "inline callee kept draining after the awaited reply settled"
+                    );
+                    if self.processed.fetch_add(1, Ordering::SeqCst) == 0 {
+                        self.replied.store(true, Ordering::SeqCst);
+                    }
+                    continue;
+                }
+            }
+            *self.body.lock().unwrap() = Some(held);
+            match self.bit.compare_exchange(
+                pk::RUNNING,
+                pk::PARKED,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => {
+                    spec::assert_transition(pk::RUNNING, pk::PARKED);
+                    return;
+                }
+                Err(_) => {
+                    let prev = self.bit.swap(pk::RUNNING, Ordering::AcqRel);
+                    spec::assert_transition(prev, pk::RUNNING);
+                    held = self
+                        .body
+                        .lock()
+                        .unwrap()
+                        .take()
+                        .expect("body stolen while RUNNING");
+                }
+            }
+        }
+    }
+
+    /// A worker claiming one run-queue entry (the blocking fallback's
+    /// spare, or this worker's own dispatch loop later).
+    fn try_resume_queued(&self) -> bool {
+        {
+            let mut q = self.runq.lock().unwrap();
+            if *q == 0 {
+                return false;
+            }
+            *q -= 1;
+        }
+        self.resume(false);
+        true
+    }
+}
+
+#[test]
+fn inline_take_races_thief_and_dirty_sender_exactly_once() {
+    loom::model(|| {
+        let m = Arc::new(InlineModel::new());
+
+        // The thief's stranded-slot rescue.
+        let thief = {
+            let m = Arc::clone(&m);
+            thread::spawn(move || {
+                let got = m.slot.swap(0, Ordering::AcqRel);
+                if got != 0 {
+                    m.claims.fetch_add(1, Ordering::SeqCst);
+                    m.resume(false);
+                }
+            })
+        };
+        // A second sender lands mail on the responder, racing the
+        // nested resume's settle check and park attempt.
+        let sender = {
+            let m = Arc::clone(&m);
+            thread::spawn(move || m.send())
+        };
+        // The waiting owner: inline take, then the blocking fallback
+        // (modelled as draining run-queue entries until the reply is in).
+        let owner = {
+            let m = Arc::clone(&m);
+            thread::spawn(move || {
+                if m.take_if(1).is_some() {
+                    m.claims.fetch_add(1, Ordering::SeqCst);
+                    m.resume(true);
+                }
+                let mut spins = 0u32;
+                while !m.replied.load(Ordering::SeqCst) {
+                    if !m.try_resume_queued() {
+                        spins += 1;
+                        assert!(spins < 100_000, "awaited reply never settled");
+                        thread::yield_now();
+                    }
+                }
+            })
+        };
+
+        thief.join().unwrap();
+        sender.join().unwrap();
+        owner.join().unwrap();
+        // Whatever the yield path or the sender queued, a worker runs.
+        while m.try_resume_queued() {}
+
+        assert_eq!(
+            m.claims.load(Ordering::SeqCst),
+            1,
+            "slot task claimed exactly once"
+        );
+        assert_eq!(
+            m.processed.load(Ordering::SeqCst),
+            2,
+            "an envelope was lost or doubled"
+        );
+        assert_eq!(*m.mailq.lock().unwrap(), 0);
+        assert_eq!(*m.runq.lock().unwrap(), 0);
+        assert_eq!(m.slot.load(Ordering::SeqCst), 0);
+        assert_eq!(m.bit.load(Ordering::Acquire), pk::PARKED);
+        assert!(m.body.lock().unwrap().is_some());
+    });
+}
+
+/// The put-back half of `take_if`: a non-awaited task in the slot goes
+/// back for the owner's dispatch loop, and a racing thief either claims
+/// it or leaves it — never both, never lost.
+#[test]
+fn inline_take_of_another_task_puts_it_back_exactly_once() {
+    loom::model(|| {
+        let m = Arc::new(InlineModel::new());
+        m.slot.store(2, Ordering::SeqCst);
+        let thief = {
+            let m = Arc::clone(&m);
+            thread::spawn(move || {
+                if m.slot.swap(0, Ordering::AcqRel) == 2 {
+                    m.claims.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        };
+        let owner = {
+            let m = Arc::clone(&m);
+            thread::spawn(move || {
+                assert!(m.take_if(1).is_none(), "took a task that was not awaited");
+                // The owner's dispatch loop later takes whatever is left.
+                if m.slot.swap(0, Ordering::AcqRel) == 2 {
+                    m.claims.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        };
+        thief.join().unwrap();
+        owner.join().unwrap();
+        assert_eq!(
+            m.claims.load(Ordering::SeqCst),
+            1,
+            "task 2 claimed exactly once"
+        );
+        assert_eq!(m.slot.load(Ordering::SeqCst), 0);
+    });
+}
+
+// ---------------------------------------------------------------------
 // Group-commit leader election: the `DurableLog` commit queue
 // (`crates/eden-kernel/src/stable/committer.rs::submit`/`lead`). The
 // first submitter to find no leader becomes the leader and drives

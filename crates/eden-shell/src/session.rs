@@ -228,6 +228,7 @@ impl Session {
             None => {}
         }
         let s = self.kernel.metrics().snapshot();
+        let snap = self.kernel.metrics_snapshot();
         Ok(vec![
             format!(
                 "invocations: {} ({} remote), replies: {} ({} deferred)",
@@ -265,7 +266,6 @@ impl Session {
                 )
             },
             {
-                let snap = self.kernel.metrics_snapshot();
                 let m = &snap.metrics;
                 format!(
                     "sheds: {} (newest {}, oldest {}, expired {}, park-timeout {}), \
@@ -278,6 +278,19 @@ impl Session {
                     snap.mailbox.mailboxes,
                     snap.mailbox.queued_total,
                     snap.mailbox.queued_max,
+                )
+            },
+            {
+                let sched = &snap.sched;
+                format!(
+                    "sched: workers {} ({} blocked, {} idle), steals: {}, inline resumes: {}, \
+                     queued tasks: {}",
+                    sched.workers,
+                    sched.workers_blocked,
+                    sched.workers_idle,
+                    sched.sched_steals,
+                    sched.inline_resumes,
+                    sched.queued_tasks,
                 )
             },
         ])
@@ -520,6 +533,9 @@ mod tests {
         assert!(stats
             .iter()
             .any(|l| l.contains("sheds:") && l.contains("park-timeout") && l.contains("mailboxes:")));
+        assert!(stats
+            .iter()
+            .any(|l| l.starts_with("sched: workers") && l.contains("inline resumes:")));
         kernel.shutdown();
     }
 
@@ -551,6 +567,10 @@ mod tests {
         let json = s.execute("stats --json").unwrap().join("\n");
         assert!(json.contains("\"counters\""));
         assert!(json.contains("\"eden_invocations_total\""));
+        assert!(json.contains("\"eden_sched_inline_resumes_total\""));
+        assert!(prom
+            .iter()
+            .any(|l| l.starts_with("eden_sched_inline_resumes_total ")));
         assert!(s.execute("stats --bogus").is_err());
         kernel.shutdown();
     }

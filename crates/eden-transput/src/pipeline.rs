@@ -552,7 +552,7 @@ impl PipelineSpec {
             kernel: kernel.clone(),
             discipline,
             ejects: wiring.ejects,
-            deferred_sinks: wiring.deferred,
+            deferred: wiring.deferred,
             start_target,
             collector,
             taps,
@@ -589,10 +589,12 @@ impl Wirer {
         Ok(uid)
     }
 
-    /// Queue a behavior to spawn in `run()` instead of now. Used for the
-    /// pull-side sinks, whose pump starts the moment they spawn: deferring
-    /// them past the metrics baseline keeps every data-phase invocation
-    /// inside the measured window, so the analytic n+1 counts hold exactly.
+    /// Queue a behavior to spawn in `run()` instead of now. Used for
+    /// every Eject whose pump starts the moment it spawns — pull-side
+    /// sinks and conventional pump filters: deferring them past the
+    /// metrics baseline keeps every data-phase invocation inside the
+    /// measured window, so the analytic n+1 and 2n+2 counts hold exactly
+    /// however many cores activate them early.
     fn defer(&mut self, behavior: Box<dyn eden_kernel::EjectBehavior>) {
         let node = self.place();
         self.deferred.push((node, behavior));
@@ -722,8 +724,8 @@ fn build_write_only(
 }
 
 /// Attach the pump appropriate to the source kind: a `Start`-triggered
-/// push source for local supplies, or an identity pump (starts at spawn)
-/// reading an existing Eject.
+/// push source for local supplies, or an identity pump reading an
+/// existing Eject (it starts at spawn, so it is deferred to `run()`).
 fn spawn_pump_for(
     w: &mut Wirer,
     source: SourceSpec,
@@ -742,12 +744,12 @@ fn spawn_pump_for(
             Ok(Some(src))
         }
         SourceSpec::Eject(uid) => {
-            w.spawn(Box::new(PumpFilterEject::new(
+            w.defer(Box::new(PumpFilterEject::new(
                 Box::new(crate::transform::Identity),
                 uid,
                 wiring,
                 batch,
-            )))?;
+            )));
             Ok(None)
         }
         // Merged sources are resolved to an Eject in `build()`.
@@ -780,23 +782,26 @@ fn build_conventional(
             // Conventional report streams need their own pipe + reader.
             let report_buf = w.spawn(Box::new(PassiveBufferEject::new(buffer_capacity)))?;
             wiring.add(&tap.channel, OutputPort::primary(report_buf));
-            w.spawn(Box::new(SinkEject::new(
+            w.defer(Box::new(SinkEject::new(
                 report_buf,
                 batch,
                 tap.collector.clone(),
-            )))?;
+            )));
         }
-        w.spawn(Box::new(PumpFilterEject::new(
+        // Pump filters and sinks start pulling the moment they activate:
+        // spawned now, a multicore host would meter their first reads
+        // before the baseline. Only the passive buffers spawn at build.
+        w.defer(Box::new(PumpFilterEject::new(
             transform,
             upstream_buf,
             wiring,
             batch,
-        )))?;
+        )));
         upstream_buf = out_buf;
     }
-    w.spawn(Box::new(
+    w.defer(Box::new(
         SinkEject::new(upstream_buf, batch, collector.clone()).adaptive_batch(batch_max),
-    ))?;
+    ));
     spawn_pump_for(w, source, first_buf, batch, batch_max, write_window)
 }
 
@@ -806,9 +811,10 @@ pub struct Pipeline {
     kernel: Kernel,
     discipline: Discipline,
     ejects: Vec<Uid>,
-    /// Pull-side sinks, spawned in `run()` so their pumps start after the
-    /// metrics baseline (and so that truly nothing flows at build time).
-    deferred_sinks: Vec<(Option<NodeId>, Box<dyn eden_kernel::EjectBehavior>)>,
+    /// Self-starting Ejects (sinks and pumps), spawned in `run()` so their
+    /// pumps start after the metrics baseline (and so that truly nothing
+    /// flows at build time).
+    deferred: Vec<(Option<NodeId>, Box<dyn eden_kernel::EjectBehavior>)>,
     /// `Start` target for source-pumped disciplines.
     start_target: Option<Uid>,
     collector: Collector,
@@ -843,7 +849,7 @@ impl Pipeline {
         // The guard is dropped before teardown so the Deactivate sweep does
         // not pollute the tree.
         let ambient = eden_core::span::enter(Some(self.trace));
-        for (node, behavior) in self.deferred_sinks.drain(..) {
+        for (node, behavior) in self.deferred.drain(..) {
             let uid = match node {
                 Some(n) => self.kernel.spawn_on(n, behavior)?,
                 None => self.kernel.spawn(behavior)?,

@@ -6,8 +6,10 @@
 //! the kernel-free offline oracle, so a scheduler bug cannot hide behind
 //! a second kernel sharing it.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use eden::core::op::ops;
@@ -363,4 +365,340 @@ fn scheduler_output_matches_offline_oracle() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Inline callee resume: a worker waiting on a reply runs the responder
+// it just woke on its own stack (`sched::run_inline`).
+
+/// Forwards `Ping` synchronously down a chain and replies with the chain
+/// length below it (the tail answers 1), recording the OS thread of every
+/// handler. `Boom` panics; `CrashCaller(uid)` crashes `uid` and replies.
+struct Forwarder {
+    next: Option<Uid>,
+    threads: Arc<Mutex<HashSet<ThreadId>>>,
+}
+
+impl EjectBehavior for Forwarder {
+    fn type_name(&self) -> &'static str {
+        "Forwarder"
+    }
+
+    fn handle(&mut self, ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+        self.threads
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
+        match inv.op.as_str() {
+            "Ping" => match self.next {
+                Some(next) => {
+                    let below = ctx.invoke(next, "Ping", Value::Unit).wait();
+                    reply.reply(below.map(|v| Value::Int(v.as_int().unwrap_or(0) + 1)));
+                }
+                None => reply.reply(Ok(Value::Int(1))),
+            },
+            // Forward one `Boom` to the next Eject and report what came back.
+            "Relay" => {
+                let next = self.next.expect("relay needs a next hop");
+                let got = ctx.invoke(next, "Boom", Value::Unit).wait();
+                reply.reply(Ok(Value::str(format!("{got:?}"))));
+            }
+            "Boom" => panic!("inlined callee panics on purpose"),
+            "BlockedBoom" => eden::kernel::blocking(|| panic!("panics inside a blocking section")),
+            "CallCrasher" => {
+                let next = self.next.expect("needs a crasher below");
+                let got = ctx
+                    .invoke(next, "CrashCaller", Value::Uid(ctx.uid()))
+                    .wait_timeout(Duration::from_secs(10));
+                reply.reply(got);
+            }
+            "CrashCaller" => {
+                let caller = inv.arg.as_uid().expect("caller uid");
+                let kernel = ctx.kernel().expect("kernel alive");
+                reply.reply(kernel.crash(caller).map(|()| Value::Unit));
+            }
+            _ => reply.reply(Err(eden_core::EdenError::NoSuchOperation {
+                target: ctx.uid(),
+                op: inv.op.clone(),
+            })),
+        }
+    }
+}
+
+fn one_worker_kernel() -> Kernel {
+    Kernel::builder()
+        .scheduler(SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        })
+        .build()
+}
+
+/// Spawn a `depth`-long forwarding chain and wait until every link has
+/// activated and parked (a wake that finds a link still queued for its
+/// first resume cannot land in the caller's LIFO slot). Returns the links
+/// head first.
+fn spawn_chain(kernel: &Kernel, depth: usize, threads: &Arc<Mutex<HashSet<ThreadId>>>) -> Vec<Uid> {
+    let mut links = Vec::with_capacity(depth);
+    let mut next = None;
+    for _ in 0..depth {
+        let uid = kernel
+            .spawn(Box::new(Forwarder {
+                next,
+                threads: Arc::clone(threads),
+            }))
+            .expect("spawn link");
+        links.push(uid);
+        next = Some(uid);
+    }
+    links.reverse();
+    for &uid in &links {
+        kernel
+            .invoke(uid, ops::DESCRIBE, Value::Unit)
+            .wait()
+            .expect("link activates");
+    }
+    threads.lock().unwrap().clear();
+    links
+}
+
+/// The tentpole's shape: on a one-worker pool, a depth-6 chain of
+/// synchronously forwarding Ejects runs every handler on the one worker
+/// thread — each reply wait resumes the callee nested instead of
+/// blocking, so the pool never compensates with a spare.
+#[test]
+fn synchronous_chain_runs_inline_on_one_worker() {
+    const DEPTH: usize = 6;
+    const ROUNDS: u64 = 50;
+    let kernel = one_worker_kernel();
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    let links = spawn_chain(&kernel, DEPTH, &threads);
+    let before = kernel.metrics_snapshot().sched.inline_resumes;
+    let mut max_workers = 0;
+    for _ in 0..ROUNDS {
+        assert_eq!(
+            kernel.invoke(links[0], "Ping", Value::Unit).wait(),
+            Ok(Value::Int(DEPTH as i64))
+        );
+        max_workers = max_workers.max(kernel.metrics_snapshot().sched.workers);
+    }
+    let inline = kernel.metrics_snapshot().sched.inline_resumes - before;
+    assert_eq!(
+        max_workers, 1,
+        "a reply wait blocked and the pool grew a spare"
+    );
+    assert_eq!(
+        threads.lock().unwrap().len(),
+        1,
+        "every handler of the chain must run on the one worker thread"
+    );
+    assert!(
+        inline >= ROUNDS * (DEPTH as u64 - 1),
+        "one inline resume per hop expected, saw {inline} over {ROUNDS} rounds"
+    );
+    kernel.shutdown();
+}
+
+/// Hostage guard: B holds "fast" and then "slow"; A waits on "fast" only.
+/// B's "slow" handler blocks on a latch A opens only after its "fast"
+/// reply is back. The nested resume must hand B back to the run queue as
+/// soon as "fast" settles — draining on into "slow" on A's stack would
+/// wait on a latch that only the frame below it can open.
+#[test]
+fn inline_callee_yields_once_the_awaited_reply_settles() {
+    struct Latched {
+        latch: Arc<(Mutex<bool>, Condvar)>,
+    }
+    impl EjectBehavior for Latched {
+        fn type_name(&self) -> &'static str {
+            "Latched"
+        }
+        fn handle(&mut self, _ctx: &EjectContext, inv: Invocation, reply: ReplyHandle) {
+            match inv.op.as_str() {
+                "Fast" => reply.reply(Ok(Value::str("fast"))),
+                _ => {
+                    let (open, cv) = &*self.latch;
+                    let opened = eden::kernel::blocking(|| {
+                        let guard = open.lock().unwrap();
+                        let (guard, _) = cv
+                            .wait_timeout_while(guard, Duration::from_secs(10), |o| !*o)
+                            .unwrap();
+                        *guard
+                    });
+                    reply.reply(if opened {
+                        Ok(Value::str("slow"))
+                    } else {
+                        Err(eden_core::EdenError::Timeout)
+                    });
+                }
+            }
+        }
+    }
+    struct Caller {
+        b: Uid,
+        latch: Arc<(Mutex<bool>, Condvar)>,
+    }
+    impl EjectBehavior for Caller {
+        fn type_name(&self) -> &'static str {
+            "Caller"
+        }
+        fn handle(&mut self, ctx: &EjectContext, _inv: Invocation, reply: ReplyHandle) {
+            let fast = ctx.invoke(self.b, "Fast", Value::Unit);
+            let slow = ctx.invoke(self.b, "Slow", Value::Unit);
+            let fast = fast.wait_timeout(Duration::from_secs(20));
+            let (open, cv) = &*self.latch;
+            *open.lock().unwrap() = true;
+            cv.notify_all();
+            let slow = slow.wait_timeout(Duration::from_secs(20));
+            reply.reply(Ok(Value::str(format!("{fast:?} {slow:?}"))));
+        }
+    }
+
+    let kernel = one_worker_kernel();
+    let latch = Arc::new((Mutex::new(false), Condvar::new()));
+    let b = kernel
+        .spawn(Box::new(Latched {
+            latch: Arc::clone(&latch),
+        }))
+        .expect("spawn B");
+    let a = kernel
+        .spawn(Box::new(Caller {
+            b,
+            latch: Arc::clone(&latch),
+        }))
+        .expect("spawn A");
+    for uid in [a, b] {
+        kernel
+            .invoke(uid, ops::DESCRIBE, Value::Unit)
+            .wait()
+            .expect("activate");
+    }
+    let before = kernel.metrics_snapshot().sched.inline_resumes;
+    let out = kernel
+        .invoke(a, "Go", Value::Unit)
+        .wait_timeout(Duration::from_secs(30))
+        .expect("A replies");
+    assert_eq!(
+        out.as_str().unwrap(),
+        r#"Ok(Str("fast")) Ok(Str("slow"))"#,
+        "A must see both replies, the slow one only after opening the latch"
+    );
+    assert!(
+        kernel.metrics_snapshot().sched.inline_resumes > before,
+        "the fast reply was meant to be served inline"
+    );
+    kernel.shutdown();
+}
+
+/// A chain four times deeper than the nesting cap still completes
+/// correctly: waits past the cap take the blocking path.
+#[test]
+fn chain_deeper_than_the_inline_cap_completes() {
+    const DEPTH: usize = 64;
+    let kernel = one_worker_kernel();
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    let links = spawn_chain(&kernel, DEPTH, &threads);
+    for _ in 0..3 {
+        assert_eq!(
+            kernel
+                .invoke(links[0], "Ping", Value::Unit)
+                .wait_timeout(Duration::from_secs(30)),
+            Ok(Value::Int(DEPTH as i64))
+        );
+    }
+    assert!(kernel.metrics_snapshot().sched.inline_resumes > 0);
+    kernel.shutdown();
+}
+
+/// A panic in an inlined callee is caught by its own resume: the caller
+/// sees `EjectCrashed`, and the worker and the caller keep serving.
+#[test]
+fn panicking_inline_callee_crashes_only_itself() {
+    let kernel = one_worker_kernel();
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    // links[0] relays to links[1], which panics on `Boom`.
+    let links = spawn_chain(&kernel, 3, &threads);
+    let before = kernel.metrics_snapshot().sched.inline_resumes;
+    let relayed = kernel
+        .invoke(links[0], "Relay", Value::Unit)
+        .wait_timeout(Duration::from_secs(30))
+        .expect("the caller survives its callee's panic");
+    assert_eq!(
+        relayed.as_str().unwrap(),
+        format!("Err(EjectCrashed({:?}))", links[1])
+    );
+    assert!(kernel.metrics_snapshot().sched.inline_resumes > before);
+    assert_eq!(threads.lock().unwrap().len(), 1, "the panic ran inline");
+    // The caller keeps serving, and so does the one worker: a fresh
+    // chain behind it still answers.
+    assert_eq!(
+        kernel.invoke(links[0], ops::DESCRIBE, Value::Unit).wait(),
+        Ok(Value::str("Forwarder"))
+    );
+    let fresh = spawn_chain(&kernel, 4, &threads);
+    assert_eq!(
+        kernel.invoke(fresh[0], "Ping", Value::Unit).wait(),
+        Ok(Value::Int(4))
+    );
+    kernel.shutdown();
+}
+
+/// A panic inside a `blocking(..)` section must leave the section: the
+/// worker stops counting as blocked and keeps resuming callees inline.
+#[test]
+fn panic_inside_a_blocking_section_releases_the_worker() {
+    let kernel = one_worker_kernel();
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    let doomed = spawn_chain(&kernel, 1, &threads);
+    assert!(matches!(
+        kernel.invoke(doomed[0], "BlockedBoom", Value::Unit).wait(),
+        Err(eden_core::EdenError::EjectCrashed(_))
+    ));
+    assert_eq!(
+        kernel.metrics_snapshot().sched.workers_blocked,
+        0,
+        "the unwound blocking section still counts its worker as blocked"
+    );
+    // The spare the section spawned retires once idle; then the one
+    // slotted worker must still take the inline path.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while kernel.metrics_snapshot().sched.workers > 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let links = spawn_chain(&kernel, 3, &threads);
+    let before = kernel.metrics_snapshot().sched.inline_resumes;
+    assert_eq!(
+        kernel.invoke(links[0], "Ping", Value::Unit).wait(),
+        Ok(Value::Int(3))
+    );
+    assert!(kernel.metrics_snapshot().sched.inline_resumes >= before + 2);
+    kernel.shutdown();
+}
+
+/// An inline callee that crashes its own caller — the frame below it on
+/// the same stack — must not wait for that caller to die (it cannot
+/// before the callee returns); the caller dies when its dispatch ends.
+#[test]
+fn inline_callee_crashing_its_caller_does_not_deadlock() {
+    let kernel = one_worker_kernel();
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    let links = spawn_chain(&kernel, 2, &threads);
+    let got = kernel
+        .invoke(links[0], "CallCrasher", Value::Unit)
+        .wait_timeout(Duration::from_secs(20));
+    assert_eq!(
+        got,
+        Ok(Value::Unit),
+        "the crash request returns to the caller"
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while kernel.eject_state(links[0]).is_some() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        kernel.eject_state(links[0]),
+        None,
+        "the caller died after its dispatch"
+    );
+    kernel.shutdown();
 }
